@@ -36,9 +36,6 @@ SUMMARY_COLUMNS = (
 )
 CURVE_HEADER = "instances_seen,accuracy,node_count"
 
-# Final-record fields excluded from determinism comparisons.
-TIME_FIELDS = ("elapsed_train_seconds",)
-
 
 def make_learner(name: str, schema, config: TreeConfig):
     if name == "vfdt":

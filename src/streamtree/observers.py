@@ -55,9 +55,7 @@ class NominalObserver:
     def observe(self, value, class_index: int, weight: float = 1.0) -> None:
         v = int(value)
         if not 0 <= v < self.arity:
-            raise ContractViolation(
-                f"nominal value {value!r} out of range [0, {self.arity})"
-            )
+            raise _out_of_range(value, self.arity)
         self.counts[class_index][v] += weight
 
     def best_split(self, pre_dist: ClassDistribution) -> SplitCandidate | None:
@@ -82,7 +80,11 @@ class NominalObserver:
         return SplitCandidate(self.attribute, None, gain, post)
 
     def nb_likelihood(self, value, class_index: int) -> float:
-        """Laplace-smoothed P(value | class) from the observed counts."""
+        """Laplace-smoothed P(value | class) from the observed counts.
+
+        The reference for ``naive_bayes_scores``, which takes the class
+        total from the leaf instead of summing the row.
+        """
         row = self.counts[class_index]
         return (row[int(value)] + 1.0) / (sum(row) + self.arity)
 
@@ -161,7 +163,10 @@ class GaussianNumericObserver:
         return SplitCandidate(self.attribute, float(thresholds[best]), float(gains[best]), post)
 
     def nb_likelihood(self, value, class_index: int) -> float:
-        """Gaussian density of ``value`` under the class; point mass if variance is 0."""
+        """Gaussian density of ``value`` under the class; point mass if variance is 0.
+
+        The reference for the inlined copy in ``naive_bayes_scores``.
+        """
         n = self.counts[class_index]
         if n <= 0.0:
             return 1.0
@@ -170,6 +175,69 @@ class GaussianNumericObserver:
         if var <= 0.0:
             return 1.0 if abs(diff) <= _POINT_MASS_TOL else 0.0
         return math.exp(-diff * diff / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
+
+
+def naive_bayes_scores(observers, values, priors, prior_total: float, class_counts) -> list[float]:
+    """Unnormalised naive-Bayes scores P(c) * prod_a P(x_a | c) of one leaf.
+
+    ``observers`` is the leaf's (attribute, observer) list, ``priors`` and
+    ``prior_total`` its class weights, and ``class_counts`` the per-class
+    weight its observers have seen.  A nominal Laplace denominator is
+    n_c + arity with n_c from ``class_counts``: that is the count row's sum,
+    because every observer of a leaf sees every instance the leaf learns
+    (to the last bit when the weights are whole numbers, as in prequential
+    runs).  Each class's product runs over the attributes in leaf order, so
+    a score has the bits of multiplying the observers' ``nb_likelihood``
+    values in turn.  Classes without prior weight score 0.  Raises
+    ContractViolation for a nominal value outside [0, arity).
+    """
+    # Per-instance work, once per attribute.  A nominal entry holds None in
+    # place of the means, and the arity in place of m2.  All-nominal leaves
+    # get a loop without the per-attribute kind test.
+    hoisted = []
+    nominal_only = True
+    for a, obs in observers:
+        if type(obs) is NominalObserver:
+            v = int(values[a])
+            if not 0 <= v < obs.arity:
+                raise _out_of_range(values[a], obs.arity)
+            hoisted.append((v, obs.counts, None, obs.arity))
+        else:
+            nominal_only = False
+            hoisted.append((float(values[a]), obs.counts, obs.means, obs.m2))
+    scores = []
+    for c, (prior, n_c) in enumerate(zip(priors, class_counts)):
+        if prior <= 0.0:
+            scores.append(0.0)
+            continue
+        s = prior / prior_total
+        if nominal_only:
+            for v, counts, _, arity in hoisted:
+                s *= (counts[c][v] + 1.0) / (n_c + arity)
+            scores.append(s)
+            continue
+        for x, counts, means, m2 in hoisted:
+            if means is None:
+                s *= (counts[c][x] + 1.0) / (n_c + m2)
+                continue
+            # GaussianNumericObserver.nb_likelihood inlined.  A factor of 1.0
+            # (unseen class, or a point mass at x) is skipped; after a factor
+            # of 0.0 the product stays 0, as every density here is finite.
+            n = counts[c]
+            if n <= 0.0:
+                continue
+            var = m2[c] / (n - 1.0) if n > 1.0 else 0.0
+            diff = x - means[c]
+            if var > 0.0:
+                s *= math.exp(-diff * diff / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
+            elif abs(diff) > _POINT_MASS_TOL:
+                s *= 0.0
+        scores.append(s)
+    return scores
+
+
+def _out_of_range(value, arity: int) -> ContractViolation:
+    return ContractViolation(f"nominal value {value!r} out of range [0, {arity})")
 
 
 def _column_entropies(matrix: np.ndarray) -> np.ndarray:

@@ -274,11 +274,16 @@ class CsvStream:
                     cell = cell.strip()
                     if vmap is None:
                         try:
-                            values.append(float(cell))
+                            x = float(cell)
                         except ValueError:
                             raise StreamFormatError(
                                 f"cannot parse {cell!r} as a number", row_number, col.name
                             ) from None
+                        if not math.isfinite(x):
+                            raise StreamFormatError(
+                                f"non-finite number {cell!r}", row_number, col.name
+                            )
+                        values.append(x)
                     else:
                         try:
                             values.append(vmap[cell])

@@ -21,7 +21,7 @@ from .core import (
     Schema,
     hoeffding_bound,
 )
-from .observers import SplitCandidate, make_observer
+from .observers import SplitCandidate, make_observer, naive_bayes_scores
 
 LEAF_PREDICTION_MODES = ("mc", "nb")
 MERIT_RANGE_MODES = ("unit", "log2c")
@@ -256,17 +256,9 @@ class HoeffdingTree:
 
     def _predict_nb(self, leaf: LeafNode, values) -> tuple[int, list[float]]:
         dist = leaf.dist
-        scores = []
-        for c, prior in enumerate(dist.weights):
-            if prior <= 0.0:
-                scores.append(0.0)
-                continue
-            s = prior / dist.total
-            for a, obs in leaf._obs_items:
-                s *= obs.nb_likelihood(values[a], c)
-                if s == 0.0:
-                    break
-            scores.append(s)
+        scores = naive_bayes_scores(
+            leaf._obs_items, values, dist.weights, dist.total, leaf.observed.weights
+        )
         total = math.fsum(scores)
         if total <= 0.0:  # every class annihilated; fall back to the priors
             scores = [w / dist.total for w in dist.weights]
@@ -294,10 +286,6 @@ class HoeffdingTree:
         ):
             self._attempt_split(leaf, parent, branch)
         return prediction
-
-    def train_many(self, instances) -> None:
-        for instance in instances:
-            self.train_one(instance)
 
     def _rank_candidates(self, leaf: LeafNode) -> list[SplitCandidate]:
         pre = leaf.observed

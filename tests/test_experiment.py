@@ -235,6 +235,22 @@ class TestCli:
         assert main(["run", "--config", str(path)]) == 2
         assert "absent.csv" in capsys.readouterr().err
 
+    def test_non_finite_csv_cell_is_data_error(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text("x1,label\n0.5,a\n0.25,b\nnan,a\n", encoding="utf-8")
+        payload = dict(
+            BASE_CONFIG,
+            streams=[{
+                "name": "file", "type": "csv", "path": str(data), "header": True,
+                "columns": [{"name": "x1", "kind": "numeric"}],
+                "classes": ["a", "b"],
+            }],
+        )
+        path = write_config(tmp_path, payload)
+        assert main(["run", "--config", str(path), "--output-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "row 4" in err and "'x1'" in err
+
     def test_stream_filter_unknown_name(self, tmp_path, capsys):
         path = write_config(tmp_path, BASE_CONFIG)
         assert main(["run", "--config", str(path), "--streams", "mystery"]) == 1

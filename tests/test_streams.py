@@ -217,10 +217,11 @@ class TestCsvStream:
         assert err.value.column == "color"
 
     def test_bad_number_positioned(self, tmp_path):
-        stream = self.make(tmp_path, "red,big,no\n")
-        with pytest.raises(StreamFormatError, match="'big'") as err:
-            list(stream)
-        assert err.value.column == "size"
+        for cell in ("big", "nan", "inf", "-inf", "NaN", "Infinity"):
+            stream = self.make(tmp_path, f"red,1.0,no\nred,{cell},yes\n")
+            with pytest.raises(StreamFormatError, match=f"'{cell}'") as err:
+                list(stream)
+            assert (err.value.row, err.value.column) == (2, "size")
 
     def test_unknown_class_label(self, tmp_path):
         stream = self.make(tmp_path, "red,1.5,maybe\n")
