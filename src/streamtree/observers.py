@@ -8,6 +8,7 @@ class-conditional normal CDF.
 from __future__ import annotations
 
 import math
+from math import exp, sqrt
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,6 +18,7 @@ from .core import Attribute, ClassDistribution, ContractViolation, entropy
 
 # Point-mass window for zero-variance Gaussians when used as NB densities.
 _POINT_MASS_TOL = 1e-9
+_TWO_PI = 2.0 * math.pi
 
 
 @dataclass(slots=True)
@@ -163,18 +165,16 @@ class GaussianNumericObserver:
         return SplitCandidate(self.attribute, float(thresholds[best]), float(gains[best]), post)
 
     def nb_likelihood(self, value, class_index: int) -> float:
-        """Gaussian density of ``value`` under the class; point mass if variance is 0.
-
-        The reference for the inlined copy in ``naive_bayes_scores``.
-        """
+        """Gaussian density of ``value`` under the class; point mass if variance is 0."""
         n = self.counts[class_index]
         if n <= 0.0:
             return 1.0
-        var = self.variance(class_index)
         diff = float(value) - self.means[class_index]
-        if var <= 0.0:
-            return 1.0 if abs(diff) <= _POINT_MASS_TOL else 0.0
-        return math.exp(-diff * diff / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
+        if n > 1.0:
+            var = self.m2[class_index] / (n - 1.0)
+            if var > 0.0:
+                return exp(-diff * diff / (2.0 * var)) / sqrt(_TWO_PI * var)
+        return 1.0 if abs(diff) <= _POINT_MASS_TOL else 0.0
 
 
 def naive_bayes_scores(observers, values, priors, prior_total: float, class_counts) -> list[float]:
@@ -191,47 +191,31 @@ def naive_bayes_scores(observers, values, priors, prior_total: float, class_coun
     values in turn.  Classes without prior weight score 0.  Raises
     ContractViolation for a nominal value outside [0, arity).
     """
-    # Per-instance work, once per attribute.  A nominal entry holds None in
-    # place of the means, and the arity in place of m2.  All-nominal leaves
-    # get a loop without the per-attribute kind test.
+    # Per-instance work, once per attribute.  A nominal entry is
+    # (index, counts, arity, None), a numeric one (value, None, None, observer).
     hoisted = []
-    nominal_only = True
     for a, obs in observers:
         if type(obs) is NominalObserver:
             v = int(values[a])
             if not 0 <= v < obs.arity:
                 raise _out_of_range(values[a], obs.arity)
-            hoisted.append((v, obs.counts, None, obs.arity))
+            hoisted.append((v, obs.counts, obs.arity, None))
         else:
-            nominal_only = False
-            hoisted.append((float(values[a]), obs.counts, obs.means, obs.m2))
+            hoisted.append((values[a], None, None, obs))
     scores = []
-    for c, (prior, n_c) in enumerate(zip(priors, class_counts)):
+    for c, prior in enumerate(priors):
         if prior <= 0.0:
             scores.append(0.0)
             continue
+        n_c = class_counts[c]
         s = prior / prior_total
-        if nominal_only:
-            for v, counts, _, arity in hoisted:
+        for v, counts, arity, numeric in hoisted:
+            if numeric is None:
                 s *= (counts[c][v] + 1.0) / (n_c + arity)
-            scores.append(s)
-            continue
-        for x, counts, means, m2 in hoisted:
-            if means is None:
-                s *= (counts[c][x] + 1.0) / (n_c + m2)
-                continue
-            # GaussianNumericObserver.nb_likelihood inlined.  A factor of 1.0
-            # (unseen class, or a point mass at x) is skipped; after a factor
-            # of 0.0 the product stays 0, as every density here is finite.
-            n = counts[c]
-            if n <= 0.0:
-                continue
-            var = m2[c] / (n - 1.0) if n > 1.0 else 0.0
-            diff = x - means[c]
-            if var > 0.0:
-                s *= math.exp(-diff * diff / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
-            elif abs(diff) > _POINT_MASS_TOL:
-                s *= 0.0
+            else:
+                s *= numeric.nb_likelihood(v, c)
+                if s == 0.0:  # a missed point mass; finite factors keep it 0
+                    break
         scores.append(s)
     return scores
 
