@@ -1,80 +1,33 @@
 """Streaming decision trees: VFDT plus strict memory-conservative variants,
 with synthetic stream generators and a prequential benchmark harness."""
 
-from .core import (
-    Attribute,
-    ClassDistribution,
-    ConfigError,
-    ContractViolation,
-    Instance,
-    Schema,
-    entropy,
-    hoeffding_bound,
-    information_gain,
-)
-from .evaluation import EvalRecord, RunResult, kappa_m, majority_baseline, prequential_run
+from .core import Attribute, ConfigError, ContractViolation, Instance, Schema
+from .evaluation import prequential_run
 from .experiment import ExperimentConfig, make_learner, relative_metrics, run_experiment
-from .observers import GaussianNumericObserver, NominalObserver, SplitCandidate
 from .streams import CsvColumn, CsvStream, LedStream, RbfStream, SeaStream, StreamFormatError
-from .svfdt import (
-    GrowthStatistics,
-    RunningStat,
-    StrictHoeffdingTree,
-    can_split,
-    leaf_entropy_stats,
-    phi,
-    varpi,
-)
-from .tree import (
-    HoeffdingTree,
-    LeafNode,
-    SplitNode,
-    TreeConfig,
-    feature_selection,
-    vfdt_split_condition,
-)
+from .svfdt import StrictHoeffdingTree
+from .tree import HoeffdingTree, TreeConfig
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Attribute",
-    "ClassDistribution",
     "ConfigError",
     "ContractViolation",
     "CsvColumn",
     "CsvStream",
-    "EvalRecord",
     "ExperimentConfig",
-    "GaussianNumericObserver",
-    "GrowthStatistics",
     "HoeffdingTree",
     "Instance",
-    "LeafNode",
     "LedStream",
-    "NominalObserver",
     "RbfStream",
-    "RunResult",
-    "RunningStat",
     "Schema",
     "SeaStream",
-    "SplitCandidate",
-    "SplitNode",
     "StreamFormatError",
     "StrictHoeffdingTree",
     "TreeConfig",
-    "can_split",
-    "entropy",
-    "feature_selection",
-    "hoeffding_bound",
-    "information_gain",
-    "kappa_m",
-    "leaf_entropy_stats",
-    "majority_baseline",
     "make_learner",
-    "phi",
     "prequential_run",
     "relative_metrics",
     "run_experiment",
-    "varpi",
-    "vfdt_split_condition",
 ]

@@ -26,7 +26,6 @@ from .svfdt import StrictHoeffdingTree
 from .tree import HoeffdingTree, TreeConfig
 
 ALGORITHMS = ("vfdt", "svfdt-i", "svfdt-ii")
-WORKERS_ENV = "STREAMTREE_WORKERS"
 
 RESULTS_FILE = "results.jsonl"
 SUMMARY_FILE = "summary.csv"
@@ -417,16 +416,6 @@ def load_records(path) -> list[dict]:
         return [json.loads(line) for line in handle if line.strip()]
 
 
-def default_workers() -> int:
-    raw = os.environ.get(WORKERS_ENV)
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            raise ConfigError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from None
-    return 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="streamtree",
@@ -444,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--algorithms", default=None,
                        help="comma-separated algorithm names to keep")
     run_p.add_argument("--workers", type=int, default=None,
-                       help=f"worker threads (default: ${WORKERS_ENV} or 1)")
+                       help="worker threads (default: the config's workers)")
 
     rel_p = sub.add_parser("relative", help="candidate/baseline ratio table")
     rel_p.add_argument("--results", required=True, help="path to results.jsonl")
@@ -475,8 +464,8 @@ def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
         if unknown:
             raise ConfigError(f"unknown algorithms in filter: {sorted(unknown)}")
         config = replace(config, algorithms=tuple(a for a in config.algorithms if a in wanted))
-    workers = args.workers if args.workers is not None else default_workers()
-    config = replace(config, workers=workers)
+    if args.workers is not None:
+        config = replace(config, workers=args.workers)
     return config
 
 

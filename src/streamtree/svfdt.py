@@ -2,13 +2,14 @@
 
 The strict learner keeps constant-size running statistics over every split
 attempt that satisfied the plain VFDT condition (entropy, best gain, and
-leaf weight at those moments) plus a registry of the tree's current leaves.
-A split that VFDT would perform is only executed when the attempting leaf
-also looks "hard enough" against that history: its entropy and gain must
-not fall more than one standard deviation below the historical means, its
-entropy must hold up against the current leaves, and it must have seen at
-least the average weight.  Variant II adds a skip branch that waves
-through exceptionally hard leaves without consulting the gates.
+leaf weight at those moments); at each such attempt it also reads the
+entropies of the tree's current leaves.  A split that VFDT would perform
+is only executed when the attempting leaf also looks "hard enough" against
+that history: its entropy and gain must not fall more than one standard
+deviation below the historical means, its entropy must hold up against the
+current leaves, and it must have seen at least the average weight.
+Variant II adds a skip branch that waves through exceptionally hard leaves
+without consulting the gates.
 """
 from __future__ import annotations
 
@@ -41,65 +42,25 @@ class RunningStat:
         self._mean += delta / self.count
         self._m2 += delta * (x - self._mean)
 
-    @property
-    def mean(self) -> float:
-        if self.count == 0:
-            raise ContractViolation("mean of an empty statistic is undefined")
-        return self._mean
-
-    @property
-    def std(self) -> float:
-        if self.count == 0:
-            raise ContractViolation("std of an empty statistic is undefined")
-        if self.count == 1:
-            return 0.0
-        return math.sqrt(self._m2 / (self.count - 1))
-
     def snapshot(self) -> StatSnapshot:
-        if self.count == 0:
-            return StatSnapshot(0, 0.0, 0.0)
-        return StatSnapshot(self.count, self.mean, self.std)
+        """Count, mean and unbiased sigma; sigma is 0 below two values, the mean 0 at none."""
+        n = self.count
+        std = math.sqrt(self._m2 / (n - 1)) if n > 1 else 0.0
+        return StatSnapshot(n, self._mean, std)
 
 
-def _sample_stats(values) -> tuple[float, float]:
-    """Mean and unbiased sigma of a non-empty sample (sigma 0 for a singleton)."""
-    xs = list(values)
-    n = len(xs)
-    mean = math.fsum(xs) / n
-    if n == 1:
-        return mean, 0.0
-    var = math.fsum((x - mean) ** 2 for x in xs) / (n - 1)
-    return mean, math.sqrt(var)
-
-
-def phi(x: float, stat_or_sample) -> bool:
+def phi(x: float, snap: StatSnapshot) -> bool:
     """True when x is no more than one sigma below the mean (or no history exists)."""
-    if isinstance(stat_or_sample, RunningStat):
-        if stat_or_sample.count == 0:
-            return True
-        return x >= stat_or_sample.mean - stat_or_sample.std
-    sample = list(stat_or_sample)
-    if not sample:
-        return True
-    mean, std = _sample_stats(sample)
-    return x >= mean - std
+    return snap.count == 0 or x >= snap.mean - snap.std
 
 
-def varpi(x: float, stat_or_sample) -> bool:
+def varpi(x: float, snap: StatSnapshot) -> bool:
     """True when x reaches mean + sigma; an empty history never fires."""
-    if isinstance(stat_or_sample, RunningStat):
-        if stat_or_sample.count == 0:
-            return False
-        return x >= stat_or_sample.mean + stat_or_sample.std
-    sample = list(stat_or_sample)
-    if not sample:
-        return False
-    mean, std = _sample_stats(sample)
-    return x >= mean + std
+    return snap.count > 0 and x >= snap.mean + snap.std
 
 
 class GrowthStatistics:
-    """Split-attempt history plus the live-leaf registry.
+    """Split-attempt history.
 
     The three running statistics are updated together, once per attempt at
     which the VFDT condition held, so their counts always agree.
@@ -109,7 +70,6 @@ class GrowthStatistics:
         self.h_stats = RunningStat()
         self.ig_stats = RunningStat()
         self.n_stats = RunningStat()
-        self.leaves: dict[int, LeafNode] = {}
 
     @property
     def satisfy_count(self) -> int:
@@ -120,16 +80,18 @@ class GrowthStatistics:
         self.ig_stats.push(best_gain)
         self.n_stats.push(leaf_weight)
 
-    def register(self, leaf: LeafNode) -> None:
-        self.leaves[leaf.leaf_id] = leaf
 
-    def unregister(self, leaf: LeafNode) -> None:
-        self.leaves.pop(leaf.leaf_id, None)
+def leaf_entropy_stats(leaves) -> StatSnapshot:
+    """Count, mean and unbiased sigma of a non-empty set of leaves' entropies.
 
-
-def leaf_entropy_stats(leaves: dict[int, LeafNode]) -> tuple[float, float]:
-    """Mean and sigma of the current leaves' entropies, recomputed on demand."""
-    return _sample_stats(entropy(leaf.dist) for leaf in leaves.values())
+    Both sums are ``math.fsum``, which rounds correctly, so the order of
+    the leaves cannot change a bit of the result.
+    """
+    hs = [entropy(leaf.dist) for leaf in leaves]
+    n = len(hs)
+    mean = math.fsum(hs) / n
+    var = math.fsum((h - mean) ** 2 for h in hs) / (n - 1) if n > 1 else 0.0
+    return StatSnapshot(n, mean, math.sqrt(var))
 
 
 def can_split(
@@ -137,19 +99,21 @@ def can_split(
     epsilon: float,
     tiebreak: float,
     leaf: LeafNode,
+    leaves,
     stats: GrowthStatistics,
     variant: int,
-    skip_requires_both: bool = True,
 ) -> bool:
-    """Full strict split check for one attempt.
+    """Full strict split check for one attempt by ``leaf``.
 
-    Order matters and is pinned by tests: (1) bail out before touching any
+    ``leaves`` are the tree's current leaves, ``leaf`` among them.  Order
+    matters and is pinned by tests: (1) bail out before touching any
     statistic if the VFDT condition fails; (2) snapshot the historical and
     current-leaf statistics; (3) record this attempt into the history;
-    (4) variant II may skip the gates outright; (5) evaluate the four gates
-    against the *snapshot*, not the just-updated history.  The weight gate
-    compares against the mean alone: a leaf can always satisfy it by
-    waiting, which is what keeps the gate deadlock-free.
+    (4) variant II skips the gates when both the entropy and the gain reach
+    their historical mean + sigma; (5) evaluate the four gates against the
+    *snapshot*, not the just-updated history.  The weight gate compares
+    against the mean alone: a leaf can always satisfy it by waiting, which
+    is what keeps the gate deadlock-free.
     """
     if not vfdt_split_condition(merits, epsilon, tiebreak):
         return False
@@ -157,23 +121,19 @@ def can_split(
     h_leaf = entropy(leaf.dist)
     n_leaf = leaf.weight_seen
 
-    lh_mean, lh_std = leaf_entropy_stats(stats.leaves)
+    lh_snap = leaf_entropy_stats(leaves)
     h_snap = stats.h_stats.snapshot()
     ig_snap = stats.ig_stats.snapshot()
     n_snap = stats.n_stats.snapshot()
 
     stats.record_satisfy(h_leaf, best_gain, n_leaf)
 
-    if variant == 2:
-        skip_h = h_snap.count > 0 and h_leaf >= h_snap.mean + h_snap.std
-        skip_ig = ig_snap.count > 0 and best_gain >= ig_snap.mean + ig_snap.std
-        fired = (skip_h and skip_ig) if skip_requires_both else (skip_h or skip_ig)
-        if fired:
-            return True
+    if variant == 2 and varpi(h_leaf, h_snap) and varpi(best_gain, ig_snap):
+        return True
 
-    rho = h_leaf >= lh_mean - lh_std
-    xi = h_snap.count == 0 or h_leaf >= h_snap.mean - h_snap.std
-    kappa = ig_snap.count == 0 or best_gain >= ig_snap.mean - ig_snap.std
+    rho = phi(h_leaf, lh_snap)
+    xi = phi(h_leaf, h_snap)
+    kappa = phi(best_gain, ig_snap)
     psi = n_snap.count == 0 or n_leaf >= n_snap.mean
     return rho and xi and kappa and psi
 
@@ -193,12 +153,6 @@ class StrictHoeffdingTree(HoeffdingTree):
         self.growth = GrowthStatistics()
         super().__init__(schema, config)
 
-    def _on_leaf_created(self, leaf: LeafNode) -> None:
-        self.growth.register(leaf)
-
-    def _on_leaf_removed(self, leaf: LeafNode) -> None:
-        self.growth.unregister(leaf)
-
     def _should_split(self, leaf: LeafNode, rank: list[SplitCandidate], epsilon: float) -> bool:
         merits = [c.merit for c in rank]
         return can_split(
@@ -206,7 +160,7 @@ class StrictHoeffdingTree(HoeffdingTree):
             epsilon,
             self.config.tiebreak,
             leaf,
+            self.iter_leaves(),
             self.growth,
             self.variant,
-            self.config.skip_requires_both,
         )

@@ -21,7 +21,7 @@ from .core import (
     Schema,
     hoeffding_bound,
 )
-from .observers import SplitCandidate, make_observer, naive_bayes_scores
+from .observers import SplitCandidate, _out_of_range, make_observer, naive_bayes_scores
 
 LEAF_PREDICTION_MODES = ("mc", "nb")
 MERIT_RANGE_MODES = ("unit", "log2c")
@@ -29,12 +29,7 @@ MERIT_RANGE_MODES = ("unit", "log2c")
 
 @dataclass(frozen=True)
 class TreeConfig:
-    """Hyperparameters shared by the plain and strict learners.
-
-    ``skip_requires_both`` only matters for the strict variant II gate: when
-    True (default) the skip fires only if both the entropy and the gain
-    clear their historical mean+sigma; when False either one suffices.
-    """
+    """Hyperparameters shared by the plain and strict learners."""
 
     grace_period: int = 200
     delta: float = 1e-5
@@ -42,7 +37,6 @@ class TreeConfig:
     leaf_prediction: str = "mc"
     numeric_bins: int = 100
     merit_range: str = "unit"
-    skip_requires_both: bool = True
 
     def __post_init__(self) -> None:
         if self.grace_period < 1:
@@ -77,6 +71,8 @@ class LeafNode:
     ``dist`` includes the weight inherited from the parent's post-split
     estimate; ``observed`` counts only instances this leaf has actually
     seen, which is exactly the population the observers describe.
+    ``observers`` is the one list of (attribute, observer) pairs, in
+    attribute order; deactivating an attribute drops its pair.
     """
 
     __slots__ = (
@@ -85,10 +81,8 @@ class LeafNode:
         "observed",
         "observers",
         "available",
-        "disabled",
         "weight_seen",
         "last_check_weight",
-        "_obs_items",
     )
 
     def __init__(
@@ -104,11 +98,7 @@ class LeafNode:
         self.dist = initial_dist.copy() if initial_dist is not None else ClassDistribution(k)
         self.observed = ClassDistribution(k)
         self.available = available
-        self.disabled: set[int] = set()
-        self.observers = {
-            a: make_observer(a, schema.attributes[a], k, bins) for a in available
-        }
-        self._obs_items = list(self.observers.items())
+        self.observers = [(a, make_observer(a, schema.attributes[a], k, bins)) for a in available]
         self.weight_seen = self.dist.total
         self.last_check_weight = self.weight_seen
 
@@ -116,13 +106,11 @@ class LeafNode:
         self.dist.add(label, weight)
         self.observed.add(label, weight)
         self.weight_seen += weight
-        for a, obs in self._obs_items:
+        for a, obs in self.observers:
             obs.observe(values[a], label, weight)
 
     def disable_attribute(self, attribute: int) -> None:
-        self.disabled.add(attribute)
-        self.observers.pop(attribute, None)
-        self._obs_items = list(self.observers.items())
+        self.observers = [(a, obs) for a, obs in self.observers if a != attribute]
 
     def __repr__(self) -> str:
         return f"LeafNode(id={self.leaf_id}, n={self.weight_seen:.1f})"
@@ -139,8 +127,12 @@ class SplitNode:
         self.children = children
 
     def branch_for(self, values) -> int:
+        """Child index for ``values``; a nominal value outside [0, arity) raises."""
         if self.threshold is None:
-            return int(values[self.attribute])
+            v = int(values[self.attribute])
+            if not 0 <= v < len(self.children):
+                raise _out_of_range(values[self.attribute], len(self.children))
+            return v
         return 0 if values[self.attribute] <= self.threshold else 1
 
     def __repr__(self) -> str:
@@ -158,24 +150,25 @@ def vfdt_split_condition(merits: list[float], epsilon: float, tiebreak: float) -
     return (best - second > epsilon) or (epsilon < tiebreak)
 
 
-def feature_selection(rank: list[SplitCandidate], epsilon: float, leaf: LeafNode) -> set[int]:
+def feature_selection(rank: list[SplitCandidate], epsilon: float, leaf: LeafNode) -> None:
     """Drop attributes whose merit trails the best by more than epsilon.
 
     Runs only after a refused split check.  The top-ranked attribute can
-    never trail itself, so it always survives.  Returns the leaf's
-    deactivated-attribute set.
+    never trail itself, so it always survives.
     """
     best = rank[0].merit
     for cand in rank[1:]:
         if best - cand.merit > epsilon:
             leaf.disable_attribute(cand.attribute)
-    return leaf.disabled
 
 
 class HoeffdingTree:
     """Plain VFDT learner over a fixed schema."""
 
     def __init__(self, schema: Schema, config: TreeConfig | None = None):
+        # The first field, so a pickle memoizes the leaves' field names ahead
+        # of the schema's attribute names, where references are one byte.
+        self.root = None
         self.schema = schema
         self.config = config if config is not None else TreeConfig()
         self._hb_range = self.config.bound_range(schema.class_count)
@@ -192,14 +185,7 @@ class HoeffdingTree:
             self._next_leaf_id, self.schema, available, self.config.numeric_bins, initial_dist
         )
         self._next_leaf_id += 1
-        self._on_leaf_created(leaf)
         return leaf
-
-    def _on_leaf_created(self, leaf: LeafNode) -> None:
-        pass
-
-    def _on_leaf_removed(self, leaf: LeafNode) -> None:
-        pass
 
     def _sort_path(self, values):
         """Follow split tests down to a leaf, tracking where to re-attach it."""
@@ -257,7 +243,7 @@ class HoeffdingTree:
     def _predict_nb(self, leaf: LeafNode, values) -> tuple[int, list[float]]:
         dist = leaf.dist
         scores = naive_bayes_scores(
-            leaf._obs_items, values, dist.weights, dist.total, leaf.observed.weights
+            leaf.observers, values, dist.weights, dist.total, leaf.observed.weights
         )
         total = math.fsum(scores)
         if total <= 0.0:  # every class annihilated; fall back to the priors
@@ -290,7 +276,7 @@ class HoeffdingTree:
     def _rank_candidates(self, leaf: LeafNode) -> list[SplitCandidate]:
         pre = leaf.observed
         candidates = []
-        for _, obs in leaf._obs_items:
+        for _, obs in leaf.observers:
             cand = obs.best_split(pre)
             if cand is not None:
                 candidates.append(cand)
@@ -314,7 +300,6 @@ class HoeffdingTree:
         return vfdt_split_condition(merits, epsilon, self.config.tiebreak)
 
     def _split(self, leaf: LeafNode, parent, branch: int, winner: SplitCandidate) -> None:
-        self._on_leaf_removed(leaf)
         if winner.is_nominal:
             child_attrs = tuple(a for a in leaf.available if a != winner.attribute)
         else:

@@ -272,10 +272,9 @@ class TestCriterion08SnapshotOrderRegression:
         h_leaf = entropy(leaf.dist)  # ~0.469
         stats = GrowthStatistics()
         stats.record_satisfy(1.0, 0.2, 100.0)
-        stats.register(leaf)
 
         # Snapshot-first evaluates 0.469 >= 1.0 - 0 -> refuse.
-        ours = can_split([0.9, 0.0], 0.01, 0.0, leaf, stats, variant=1)
+        ours = can_split([0.9, 0.0], 0.01, 0.0, leaf, [leaf], stats, variant=1)
 
         # Update-first would evaluate against the appended history and split.
         h_hist = [1.0, h_leaf]

@@ -263,13 +263,12 @@ class TestCli:
         records = load_records(out / "results.jsonl")
         assert [r["seed"] for r in records] == [7]
 
-    def test_workers_env_default(self, tmp_path, monkeypatch):
-        from streamtree.experiment import default_workers
+    def test_workers_default_to_the_config(self, tmp_path):
+        from streamtree.experiment import _apply_overrides, build_parser
 
-        monkeypatch.delenv("STREAMTREE_WORKERS", raising=False)
-        assert default_workers() == 1
-        monkeypatch.setenv("STREAMTREE_WORKERS", "4")
-        assert default_workers() == 4
-        monkeypatch.setenv("STREAMTREE_WORKERS", "zzz")
-        with pytest.raises(ConfigError):
-            default_workers()
+        config = ExperimentConfig.from_dict(dict(BASE_CONFIG, workers=3))
+        path = str(write_config(tmp_path, BASE_CONFIG))
+        args = build_parser().parse_args(["run", "--config", path])
+        assert _apply_overrides(config, args).workers == 3
+        args = build_parser().parse_args(["run", "--config", path, "--workers", "2"])
+        assert _apply_overrides(config, args).workers == 2

@@ -71,7 +71,7 @@ def reference_nb(leaf, values):
         s = 0.0
         if prior > 0.0:
             s = prior / dist.total
-            for a, obs in leaf.observers.items():
+            for a, obs in leaf.observers:
                 s *= obs.nb_likelihood(values[a], c)
         scores.append(s)
     total = math.fsum(scores)

@@ -6,9 +6,11 @@ import pytest
 
 from streamtree.core import Attribute, ClassDistribution, ContractViolation, Schema, entropy
 from streamtree.streams import LedStream, SeaStream
+import streamtree.svfdt as svfdt
 from streamtree.svfdt import (
     GrowthStatistics,
     RunningStat,
+    StatSnapshot,
     StrictHoeffdingTree,
     can_split,
     leaf_entropy_stats,
@@ -42,29 +44,26 @@ def make_leaf(leaf_id: int, h: float, total: float) -> LeafNode:
     return leaf
 
 
-def primed_stats(hs=(), igs=(), ns=(), leaves=()) -> GrowthStatistics:
+def primed_stats(hs=(), igs=(), ns=()) -> GrowthStatistics:
     stats = GrowthStatistics()
     for h, ig, n in zip(hs, igs, ns):
         stats.record_satisfy(h, ig, n)
-    for leaf in leaves:
-        stats.register(leaf)
     return stats
 
 
+# The sample {1, 2, 3}: mean 2, unbiased sigma 1.
+ONE_TWO_THREE = StatSnapshot(3, 2.0, 1.0)
+EMPTY = StatSnapshot(0, 0.0, 0.0)
+
+
 class TestRunningStat:
-    def test_empty_queries_are_explicit_errors(self):
-        stat = RunningStat()
-        with pytest.raises(ContractViolation):
-            stat.mean
-        with pytest.raises(ContractViolation):
-            stat.std
-        assert stat.snapshot() == (0, 0.0, 0.0)
+    def test_empty_snapshot_has_zero_count(self):
+        assert RunningStat().snapshot() == EMPTY
 
     def test_single_value(self):
         stat = RunningStat()
         stat.push(4.0)
-        assert stat.mean == 4.0
-        assert stat.std == 0.0
+        assert stat.snapshot() == (1, 4.0, 0.0)
 
     def test_matches_statistics_module(self):
         rng = random.Random(5)
@@ -72,57 +71,62 @@ class TestRunningStat:
         stat = RunningStat()
         for x in xs:
             stat.push(x)
-        assert stat.mean == pytest.approx(statistics.fmean(xs), rel=1e-12)
-        assert stat.std == pytest.approx(statistics.stdev(xs), rel=1e-9)
+        snap = stat.snapshot()
+        assert snap.count == 500
+        assert snap.mean == pytest.approx(statistics.fmean(xs), rel=1e-12)
+        assert snap.std == pytest.approx(statistics.stdev(xs), rel=1e-9)
 
 
 class TestPhiVarpi:
     def test_phi_boundary_sigma_zero(self):
         stat = RunningStat()
         stat.push(2.0)
-        assert phi(2.0, stat)
+        assert phi(2.0, stat.snapshot())
 
     def test_phi_two_sigma_below_fails(self):
-        assert not phi(0.0, [1.0, 2.0, 3.0])  # mean 2, sigma 1
+        assert not phi(0.0, ONE_TWO_THREE)
 
     def test_phi_hand_sample(self):
-        assert phi(1.2, [1.0, 2.0, 3.0])  # 1.2 >= 2 - 1
+        assert phi(1.2, ONE_TWO_THREE)  # 1.2 >= 2 - 1
 
     def test_phi_empty_passes(self):
-        assert phi(0.0, RunningStat())
-        assert phi(0.0, [])
+        assert phi(0.0, RunningStat().snapshot())
+        assert phi(-100.0, EMPTY)
 
     def test_varpi_boundary_inclusive(self):
-        assert varpi(3.0, [1.0, 2.0, 3.0])  # 3.0 >= 2 + 1
+        assert varpi(3.0, ONE_TWO_THREE)  # 3.0 >= 2 + 1
 
     def test_varpi_mean_fails_with_positive_sigma(self):
-        assert not varpi(2.0, [1.0, 2.0, 3.0])
+        assert not varpi(2.0, ONE_TWO_THREE)
 
     def test_varpi_hand_sample(self):
-        assert varpi(3.1, [1.0, 2.0, 3.0])
+        assert varpi(3.1, ONE_TWO_THREE)
 
     def test_varpi_empty_never_fires(self):
-        assert not varpi(100.0, RunningStat())
-        assert not varpi(100.0, [])
+        assert not varpi(100.0, RunningStat().snapshot())
+        assert not varpi(100.0, EMPTY)
 
 
 class TestLeafEntropyStats:
     def test_single_leaf(self):
         leaf = make_leaf(0, 0.7, 100)
-        mean, std = leaf_entropy_stats({leaf.leaf_id: leaf})
+        count, mean, std = leaf_entropy_stats([leaf])
+        assert count == 1
         assert mean == pytest.approx(0.7, abs=1e-9)
         assert std == 0.0
 
     def test_two_leaves_mean(self):
         leaves = [make_leaf(0, 0.0, 50), make_leaf(1, 1.0, 50)]
-        mean, std = leaf_entropy_stats({l.leaf_id: l for l in leaves})
+        count, mean, std = leaf_entropy_stats(leaves)
+        assert count == 2
         assert mean == pytest.approx(0.5, abs=1e-9)
         assert std == pytest.approx(math.sqrt(0.5), abs=1e-9)
 
     def test_five_leaves_match_batch(self):
         hs = [0.1, 0.3, 0.55, 0.8, 0.95]
         leaves = [make_leaf(i, h, 40) for i, h in enumerate(hs)]
-        mean, std = leaf_entropy_stats({l.leaf_id: l for l in leaves})
+        count, mean, std = leaf_entropy_stats(leaves)
+        assert count == 5
         assert mean == pytest.approx(statistics.fmean(hs), abs=1e-9)
         assert std == pytest.approx(statistics.stdev(hs), abs=1e-9)
 
@@ -131,47 +135,40 @@ class TestCanSplit:
     def test_first_attempt_with_empty_history_splits(self):
         for variant in (1, 2):
             leaf = make_leaf(0, 0.9, 250)
-            stats = primed_stats(leaves=[leaf])
-            assert can_split([0.5, 0.1], 0.01, 0.0, leaf, stats, variant)
+            stats = primed_stats()
+            assert can_split([0.5, 0.1], 0.01, 0.0, leaf, [leaf], stats, variant)
             assert stats.satisfy_count == 1
 
     def test_failed_vfdt_condition_short_circuits(self):
         leaf = make_leaf(0, 0.9, 250)
-        stats = primed_stats(leaves=[leaf])
+        stats = primed_stats()
         # gap 0.02 <= epsilon 0.3 and epsilon >= tiebreak: no satisfy event
-        assert not can_split([0.52, 0.5], 0.3, 0.05, leaf, stats, 1)
+        assert not can_split([0.52, 0.5], 0.3, 0.05, leaf, [leaf], stats, 1)
         assert stats.satisfy_count == 0
 
     def test_low_entropy_leaf_refused_against_history(self):
         # History: H {0.9, 0.8, 1.0} -> mean 0.9, sigma 0.1; IG {0.5, 0.4, 0.6}
         # -> mean 0.5, sigma 0.1; n {300 x3} -> mean 300.
         leaf = make_leaf(0, 0.2, 300)
-        stats = primed_stats(
-            hs=(0.9, 0.8, 1.0), igs=(0.5, 0.4, 0.6), ns=(300, 300, 300), leaves=[leaf]
-        )
+        stats = primed_stats(hs=(0.9, 0.8, 1.0), igs=(0.5, 0.4, 0.6), ns=(300, 300, 300))
         # entropy gate: 0.2 < 0.9 - 0.1, everything else passes
-        assert not can_split([0.45, 0.0], 1e-6, 0.0, leaf, stats, 1)
+        assert not can_split([0.45, 0.0], 1e-6, 0.0, leaf, [leaf], stats, 1)
         assert stats.satisfy_count == 4  # refusal still recorded the attempt
 
     def test_all_four_gates_pass(self):
         leaf = make_leaf(0, 0.85, 300)
         other = make_leaf(1, 0.9, 300)
-        stats = primed_stats(
-            hs=(0.9, 0.8, 1.0), igs=(0.5, 0.4, 0.6), ns=(300, 300, 300),
-            leaves=[leaf, other],
-        )
+        stats = primed_stats(hs=(0.9, 0.8, 1.0), igs=(0.5, 0.4, 0.6), ns=(300, 300, 300))
         # current leaves {0.85, 0.9}: mean 0.875, sigma ~0.0354 -> rho holds;
         # xi: 0.85 >= 0.8; kappa: 0.45 >= 0.4; psi: 300 >= 300.
-        assert can_split([0.45, 0.0], 1e-6, 0.0, leaf, stats, 1)
+        assert can_split([0.45, 0.0], 1e-6, 0.0, leaf, [leaf, other], stats, 1)
 
     def test_weight_gate_uses_mean_without_sigma(self):
         # n history {100, 300} -> mean 200, sigma ~141: a leaf at n=150
         # would pass mean - sigma but must fail the mean-only gate.
         leaf = make_leaf(0, 0.9, 150)
-        stats = primed_stats(
-            hs=(0.9, 0.9), igs=(0.5, 0.5), ns=(100, 300), leaves=[leaf]
-        )
-        assert not can_split([0.5, 0.0], 1e-6, 0.0, leaf, stats, 1)
+        stats = primed_stats(hs=(0.9, 0.9), igs=(0.5, 0.5), ns=(100, 300))
+        assert not can_split([0.5, 0.0], 1e-6, 0.0, leaf, [leaf], stats, 1)
 
     def test_snapshot_before_update_order(self):
         # Crafted trace where evaluating against the *updated* statistics
@@ -180,8 +177,8 @@ class TestCanSplit:
         leaf.dist = ClassDistribution.from_weights([450, 50])
         leaf.weight_seen = 500.0
         h_leaf = entropy(leaf.dist)  # ~0.469
-        stats = primed_stats(hs=(1.0,), igs=(0.2,), ns=(100,), leaves=[leaf])
-        result = can_split([0.9, 0.0], 0.01, 0.0, leaf, stats, 1)
+        stats = primed_stats(hs=(1.0,), igs=(0.2,), ns=(100,))
+        result = can_split([0.9, 0.0], 0.01, 0.0, leaf, [leaf], stats, 1)
 
         # Snapshot-first: entropy gate 0.469 >= 1.0 - 0 is false -> refuse.
         assert result is False
@@ -195,31 +192,26 @@ class TestCanSplit:
             h_leaf >= h_mean - h_std
             and 0.9 >= ig_mean - ig_std
             and 500 >= n_mean
-            and h_leaf >= h_leaf  # registry gate, single leaf
+            and h_leaf >= h_leaf  # current-leaves gate, single leaf
         )
         assert wrong_order is True
 
     def test_variant_two_skip_overrides_gates(self):
         leaf = make_leaf(0, 0.9, 500)
         base = dict(hs=(0.5, 0.5), igs=(0.3, 0.3), ns=(1000, 1000))
-        stats1 = primed_stats(**base, leaves=[make_leaf(0, 0.9, 500)])
-        stats2 = primed_stats(**base, leaves=[make_leaf(0, 0.9, 500)])
         # weight gate fails (500 < 1000), so variant I refuses...
-        assert not can_split([0.8, 0.0], 1e-6, 0.0, make_leaf(0, 0.9, 500), stats1, 1)
+        assert not can_split([0.8, 0.0], 1e-6, 0.0, leaf, [leaf], primed_stats(**base), 1)
         # ...but both skip conditions hold (0.9 >= 0.5, 0.8 >= 0.3): II splits.
-        assert can_split([0.8, 0.0], 1e-6, 0.0, make_leaf(0, 0.9, 500), stats2, 2)
+        assert can_split([0.8, 0.0], 1e-6, 0.0, leaf, [leaf], primed_stats(**base), 2)
 
     def test_skip_connective_and_vs_or(self):
-        # entropy skip holds, gain skip does not (0.8 < 0.95)
-        base = dict(hs=(0.5, 0.5), igs=(0.95, 0.95), ns=(1000, 1000))
-        leaf_and = make_leaf(0, 0.9, 500)
-        stats_and = primed_stats(**base, leaves=[leaf_and])
-        assert not can_split([0.8, 0.0], 1e-6, 0.0, leaf_and, stats_and, 2,
-                             skip_requires_both=True)
-        leaf_or = make_leaf(0, 0.9, 500)
-        stats_or = primed_stats(**base, leaves=[leaf_or])
-        assert can_split([0.8, 0.0], 1e-6, 0.0, leaf_or, stats_or, 2,
-                         skip_requires_both=False)
+        # The skip needs entropy AND gain.  Either one alone, which an OR
+        # would accept, leaves the decision to the gates, and they refuse.
+        leaf = make_leaf(0, 0.9, 500)
+        entropy_only = primed_stats(hs=(0.5, 0.5), igs=(0.95, 0.95), ns=(1000, 1000))
+        assert not can_split([0.8, 0.0], 1e-6, 0.0, leaf, [leaf], entropy_only, 2)
+        gain_only = primed_stats(hs=(0.95, 0.95), igs=(0.5, 0.5), ns=(1000, 1000))
+        assert not can_split([0.8, 0.0], 1e-6, 0.0, leaf, [leaf], gain_only, 2)
 
     def test_variant_two_accepts_whenever_variant_one_does(self):
         rng = random.Random(11)
@@ -234,9 +226,9 @@ class TestCanSplit:
             for variant in (1, 2):
                 leaf = make_leaf(0, leaf_h, leaf_n)
                 extra = make_leaf(1, rng.uniform(0, 1), 100)
-                stats = primed_stats(h_hist, ig_hist, n_hist, leaves=[leaf, extra])
+                stats = primed_stats(h_hist, ig_hist, n_hist)
                 outcomes.append(
-                    can_split(merits, 0.01, 0.05, leaf, stats, variant)
+                    can_split(merits, 0.01, 0.05, leaf, [leaf, extra], stats, variant)
                 )
             if outcomes[0]:
                 assert outcomes[1], "variant II must accept whenever variant I does"
@@ -247,17 +239,22 @@ class TestStrictTree:
         with pytest.raises(ContractViolation):
             StrictHoeffdingTree(SCHEMA, variant=3)
 
-    def test_registry_tracks_reachable_leaves(self):
+    def test_entropy_gate_reads_reachable_leaves(self, monkeypatch):
         stream = LedStream(noise=0.10, seed=3, n=30000)
         tree = StrictHoeffdingTree(stream.schema, TreeConfig(tiebreak=0.2), variant=1)
-        for i, inst in enumerate(stream):
+        reads = []
+
+        def recording(leaves):
+            leaves = list(leaves)
+            reachable = {id(leaf) for leaf in tree.iter_leaves()}
+            reads.append({id(leaf) for leaf in leaves} == reachable)
+            return leaf_entropy_stats(leaves)
+
+        monkeypatch.setattr(svfdt, "leaf_entropy_stats", recording)
+        for inst in stream:
             tree.train_one(inst)
-            if i % 7000 == 0:
-                reachable = {leaf.leaf_id for leaf in tree.iter_leaves()}
-                assert set(tree.growth.leaves) == reachable
-        reachable = {leaf.leaf_id for leaf in tree.iter_leaves()}
-        assert set(tree.growth.leaves) == reachable
         assert tree.split_log, "stream should have caused growth"
+        assert reads and all(reads)
 
     def test_statistics_counts_stay_aligned(self):
         stream = SeaStream(seed=2, n=20000)

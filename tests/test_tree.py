@@ -67,6 +67,25 @@ class TestRouting:
         assert tree.sort_to_leaf(Instance((0, 1))) is leaves[0]
         assert tree.sort_to_leaf(Instance((1, 0))) is leaves[1]
 
+    @pytest.mark.parametrize("mode", ["mc", "nb"])
+    def test_out_of_range_nominal_value_rejected_at_routing(self, mode):
+        # Attribute 0 (3 values) copies the 3-valued label, so the root
+        # splits on it; its children no longer model attribute 0.
+        schema = Schema((Attribute.nominal("a", 3), Attribute.nominal("b", 2)), 3)
+        tree = HoeffdingTree(schema, TreeConfig(leaf_prediction=mode))
+        rng = random.Random(1)
+        while not tree.split_log:
+            label = rng.randrange(3)
+            tree.train_one(Instance((label, rng.randrange(2)), label))
+        assert tree.root.attribute == 0 and tree.root.threshold is None
+        trained = tree.instances_trained
+        for bad in (-1, 3):
+            with pytest.raises(ContractViolation, match=r"out of range \[0, 3\)"):
+                tree.predict(Instance((bad, 0)))
+            with pytest.raises(ContractViolation, match=r"out of range \[0, 3\)"):
+                tree.train_one(Instance((bad, 0), 0))
+        assert tree.instances_trained == trained
+
     def test_routing_is_deterministic(self):
         tree = HoeffdingTree(TWO_NOMINAL)
         for inst in perfect_attribute_stream(600, seed=3):
@@ -156,9 +175,8 @@ class TestTraining:
         for child in tree.root.children:
             assert child.weight_seen == pytest.approx(child.dist.total, rel=1e-9)
             assert child.last_check_weight <= child.weight_seen
-            assert child.disabled == set()
             # the nominal split attribute is gone from the children
-            assert 0 not in child.observers
+            assert [a for a, _ in child.observers] == [1]
 
     def test_no_instance_counted_twice_across_leaves(self):
         tree = HoeffdingTree(TWO_NOMINAL, TreeConfig(grace_period=50, tiebreak=0.5))
@@ -223,18 +241,18 @@ class TestFeatureSelection:
 
     def test_trailing_attribute_dropped(self):
         leaf = make_leaf_with_observers(TWO_NOMINAL)
-        disabled = feature_selection(self.rank([0.9, 0.1]), epsilon=0.3, leaf=leaf)
-        assert disabled == {1}
-        assert 1 not in leaf.observers
-        assert 0 in leaf.observers
+        feature_selection(self.rank([0.9, 0.1]), epsilon=0.3, leaf=leaf)
+        assert [a for a, _ in leaf.observers] == [0]
 
     def test_equal_merits_keep_everything(self):
         leaf = make_leaf_with_observers(TWO_NOMINAL)
-        assert feature_selection(self.rank([0.5, 0.5]), epsilon=0.0, leaf=leaf) == set()
+        feature_selection(self.rank([0.5, 0.5]), epsilon=0.0, leaf=leaf)
+        assert [a for a, _ in leaf.observers] == [0, 1]
 
     def test_large_epsilon_keeps_everything(self):
         leaf = make_leaf_with_observers(TWO_NOMINAL)
-        assert feature_selection(self.rank([0.9, 0.1]), epsilon=0.85, leaf=leaf) == set()
+        feature_selection(self.rank([0.9, 0.1]), epsilon=0.85, leaf=leaf)
+        assert [a for a, _ in leaf.observers] == [0, 1]
 
 
 class TestTreeSize:
