@@ -1,7 +1,8 @@
 """Benchmark harness: algorithm x tiebreak x seed grids over configured streams.
 
 ``run`` executes a declarative JSON config and writes one JSON record per
-run (results.jsonl) plus an aggregate CSV (summary.csv); ``relative``
+run (results.jsonl) plus an aggregate CSV (summary.csv), on worker
+processes and resuming from the records a previous run left; ``relative``
 produces the candidate/baseline ratio table; ``curves`` exports per-run
 (instances_seen, accuracy, node_count) series for plotting.
 
@@ -15,8 +16,9 @@ import json
 import os
 import statistics
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 
 from .core import ConfigError
@@ -230,10 +232,9 @@ def run_id(stream: str, algorithm: str, tiebreak: float, seed: int, repetition: 
     return f"{stream}__{algorithm}__tau{tiebreak:g}__seed{seed}__rep{repetition}"
 
 
-def _execute_run(config: ExperimentConfig, spec: StreamSpec, algorithm: str,
-                 tiebreak: float, seed: int, repetition: int, cfg_hash: str) -> RunResult:
-    stream = spec.build(seed)
-    learner = make_learner(algorithm, stream.schema, config.tree_config(tiebreak))
+def _execute_run(config: ExperimentConfig, spec: StreamSpec, seed: int, schema, instances,
+                 algorithm: str, tiebreak: float, repetition: int, cfg_hash: str) -> RunResult:
+    learner = make_learner(algorithm, schema, config.tree_config(tiebreak))
     metadata = {
         "run_id": run_id(spec.name, algorithm, tiebreak, seed, repetition),
         "stream": spec.name,
@@ -252,35 +253,112 @@ def _execute_run(config: ExperimentConfig, spec: StreamSpec, algorithm: str,
         "config_hash": cfg_hash,
     }
     return prequential_run(
-        learner, stream, snapshot_every=config.snapshot_every, metadata=metadata
+        learner, instances, snapshot_every=config.snapshot_every, metadata=metadata
     )
 
 
-def run_experiment(config: ExperimentConfig, output_dir) -> list[RunResult]:
-    """Execute the full grid; write results.jsonl and summary.csv under output_dir."""
+def _run_task(config: ExperimentConfig, spec: StreamSpec, seed: int, cells,
+              cfg_hash: str) -> list[RunResult]:
+    """One (stream, seed): build the stream once, run each (algorithm,
+    tiebreak, repetition) cell on its instances."""
+    stream = spec.build(seed)
+    instances = list(stream)
+    return [_execute_run(config, spec, seed, stream.schema, instances, *cell, cfg_hash)
+            for cell in cells]
+
+
+def _in_task_order(config: ExperimentConfig, tasks, cfg_hash: str):
+    """Each task's results, in task order: on worker processes when there
+    are more than one worker and task, else in this process."""
+    processes = min(config.workers, len(tasks))
+    if processes < 2:
+        yield from (_run_task(config, *task, cfg_hash) for task in tasks)
+    else:
+        with ProcessPoolExecutor(max_workers=processes) as pool:
+            yield from pool.map(_run_task, repeat(config), *zip(*tasks), repeat(cfg_hash))
+
+
+def run_experiment(config: ExperimentConfig, output_dir) -> list[dict]:
+    """Execute the full grid; write results.jsonl and summary.csv under output_dir.
+
+    One task is one (stream, seed) pair.  Records already in results.jsonl
+    for this config are kept and their cells not re-run, so an interrupted
+    grid resumes; each finished task's records are appended in task order.
+    Returns every record of the grid in that order.
+    """
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
+    path = out / RESULTS_FILE
     cfg_hash = config.config_hash()
-    tasks = [
-        (spec, algorithm, tiebreak, seed, repetition)
-        for spec in config.streams
+    cells = [
+        (algorithm, tiebreak, repetition)
         for algorithm in config.algorithms
         for tiebreak in config.tiebreaks
-        for seed in config.seeds
         for repetition in range(1, config.repetitions + 1)
     ]
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            futures = [pool.submit(_execute_run, config, *task, cfg_hash) for task in tasks]
-            results = [f.result() for f in futures]  # keeps the deterministic task order
-    else:
-        results = [_execute_run(config, *task, cfg_hash) for task in tasks]
+    grid = [
+        (spec, seed, {run_id(spec.name, a, t, seed, r): (a, t, r) for a, t, r in cells})
+        for spec in config.streams
+        for seed in config.seeds
+    ]
+    order = [rid for _, _, ids in grid for rid in ids]
+    if len(set(order)) < len(config.streams) * len(config.seeds) * len(cells):
+        raise ConfigError("two cells share a run_id: stream names, algorithms, tiebreaks "
+                          "and seeds must not repeat")
+    done = _resumable_records(path, cfg_hash, set(order))
+    _write_records(path, [done[rid] for rid in order if rid in done])
+    tasks = [
+        (spec, seed, [cell for rid, cell in ids.items() if rid not in done])
+        for spec, seed, ids in grid
+    ]
+    tasks = [task for task in tasks if task[2]]
+    resumed = bool(done)
+    with open(path, "a", encoding="utf-8") as handle:
+        for results in _in_task_order(config, tasks, cfg_hash):
+            for result in results:
+                record = record_dict(result)
+                done[record["run_id"]] = record
+                handle.write(json.dumps(record, sort_keys=True) + "\n")
+            handle.flush()
+    records = [done[rid] for rid in order]
+    if resumed:
+        _write_records(path, records)
+    _write_summary(records, out / SUMMARY_FILE)
+    return records
 
-    with open(out / RESULTS_FILE, "w", encoding="utf-8") as handle:
-        for result in results:
-            handle.write(json.dumps(record_dict(result), sort_keys=True) + "\n")
-    _write_summary(results, out / SUMMARY_FILE)
-    return results
+
+def _resumable_records(path: Path, cfg_hash: str, wanted: set) -> dict[str, dict]:
+    """Records of ``path`` with a wanted run_id and this config hash.
+
+    A last line that does not parse is the torn write of a crash and is
+    dropped; any other unparseable line is an error.
+    """
+    try:
+        with open(path, encoding="utf-8") as handle:
+            lines = [line for line in handle if line.strip()]
+    except FileNotFoundError:
+        return {}
+    kept = {}
+    for number, line in enumerate(lines, start=1):
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError:
+            if number == len(lines):
+                break
+            raise ValueError(f"{path}: line {number} is not valid JSON") from None
+        if (isinstance(record, dict) and record.get("config_hash") == cfg_hash
+                and record.get("run_id") in wanted):
+            kept[record["run_id"]] = record
+    return kept
+
+
+def _write_records(path: Path, records: list[dict]) -> None:
+    """Replace ``path`` with ``records``; a crash leaves the old file or the new."""
+    partial = path.with_name(path.name + ".partial")
+    with open(partial, "w", encoding="utf-8") as handle:
+        for record in records:
+            handle.write(json.dumps(record, sort_keys=True) + "\n")
+    os.replace(partial, path)
 
 
 def record_dict(result: RunResult) -> dict:
@@ -301,21 +379,20 @@ def record_dict(result: RunResult) -> dict:
     }
 
 
-def _write_summary(results: list[RunResult], path) -> None:
-    groups: dict[tuple, list[RunResult]] = {}
-    for result in results:
-        meta = result.metadata
-        key = (meta["stream"], meta["algorithm"], meta["tiebreak"])
-        groups.setdefault(key, []).append(result)
+def _write_summary(records: list[dict], path) -> None:
+    groups: dict[tuple, list[dict]] = {}
+    for record in records:
+        key = (record["stream"], record["algorithm"], record["tiebreak"])
+        groups.setdefault(key, []).append(record)
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(SUMMARY_COLUMNS + "\n")
         for (stream, algorithm, tiebreak), group in groups.items():
-            times = [r.final.elapsed_train_seconds for r in group]
+            times = [r["elapsed_train_seconds"] for r in group]
             handle.write(
                 f"{stream},{algorithm},{tiebreak:g},{len(group)},"
-                f"{statistics.fmean(r.final.accuracy for r in group):.6f},"
-                f"{statistics.fmean(r.final.kappa_m for r in group):.6f},"
-                f"{statistics.fmean(r.final.node_count for r in group):.2f},"
+                f"{statistics.fmean(r['accuracy'] for r in group):.6f},"
+                f"{statistics.fmean(r['kappa_m'] for r in group):.6f},"
+                f"{statistics.fmean(r['node_count'] for r in group):.2f},"
                 f"{statistics.fmean(times):.4f},"
                 f"{statistics.stdev(times) if len(times) > 1 else 0.0:.4f}\n"
             )
@@ -433,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--algorithms", default=None,
                        help="comma-separated algorithm names to keep")
     run_p.add_argument("--workers", type=int, default=None,
-                       help="worker threads (default: the config's workers)")
+                       help="worker processes (default: the config's workers)")
 
     rel_p = sub.add_parser("relative", help="candidate/baseline ratio table")
     rel_p.add_argument("--results", required=True, help="path to results.jsonl")

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .core import Attribute, ConfigError, Instance, Schema
@@ -33,13 +34,21 @@ LED_SEGMENTS = (
 
 
 class StreamFormatError(ValueError):
-    """A data file row could not be parsed; carries its position."""
+    """A data file row could not be parsed; carries its position.
+
+    The constructor arguments are the exception's ``args``, so it survives
+    the pickle round trip from a worker process.
+    """
 
     def __init__(self, message: str, row: int, column: str | None = None):
-        where = f"row {row}" + (f", column {column!r}" if column else "")
-        super().__init__(f"{message} ({where})")
+        super().__init__(message, row, column)
         self.row = row
         self.column = column
+
+    def __str__(self) -> str:
+        message, row, column = self.args
+        where = f"row {row}" + (f", column {column!r}" if column else "")
+        return f"{message} ({where})"
 
 
 class LedStream:
@@ -191,22 +200,32 @@ class RbfStream:
         return centroids, cumulative
 
     def __iter__(self):
+        """Each instance takes n_attrs + 1 draws of ``rng.gauss(0.0, 1.0)``,
+        inlined with the same random numbers: a Box-Muller pair gives its
+        cosine value, and its sine value waits for the next draw, across
+        instances too, as ``gauss_next`` does.  ``0.0 + z * 1.0`` is gauss's
+        ``mu + z * sigma``, which turns -0.0 into 0.0.
+        """
         rng = random.Random(self.seed)
         centroids, cumulative = self._draw_centroids(rng)  # same draws as __init__
         total = cumulative[-1]
-        d = self.n_attrs
+        need = self.n_attrs + 1
+        uniform = rng.random
+        cos, sin, log, sqrt, fsum = math.cos, math.sin, math.log, math.sqrt, math.fsum
+        two_pi = 2.0 * math.pi
+        draws = []  # Gaussian draws not used yet: at most the one cached sine value
         for _ in range(self.n):
-            r = rng.random() * total
-            idx = 0
-            while cumulative[idx] < r:
-                idx += 1
-            center, label, _, stdev = centroids[idx]
-            direction = [rng.gauss(0.0, 1.0) for _ in range(d)]
-            norm = math.sqrt(math.fsum(x * x for x in direction)) or 1.0
-            magnitude = rng.gauss(0.0, 1.0) * stdev
-            scale = magnitude / norm
-            values = tuple(c + x * scale for c, x in zip(center, direction))
-            yield Instance(values, label)
+            center, label, _, stdev = centroids[bisect_left(cumulative, uniform() * total)]
+            while len(draws) < need:
+                angle = uniform() * two_pi
+                radius = sqrt(-2.0 * log(1.0 - uniform()))
+                draws.append(0.0 + cos(angle) * radius * 1.0)
+                draws.append(0.0 + sin(angle) * radius * 1.0)
+            direction = draws[: need - 1]
+            magnitude = draws[need - 1] * stdev
+            draws = draws[need:]
+            scale = magnitude / (sqrt(fsum([x * x for x in direction])) or 1.0)
+            yield Instance(tuple([c + x * scale for c, x in zip(center, direction)]), label)
 
     def __len__(self) -> int:
         return self.n

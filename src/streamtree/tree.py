@@ -227,6 +227,10 @@ class HoeffdingTree:
     # -- prediction ----------------------------------------------------
 
     def predict(self, instance: Instance) -> tuple[int, list[float]]:
+        """Raises ContractViolation for a nominal value outside [0, arity)."""
+        for attr, value in zip(self.schema.attributes, instance.values):
+            if attr.is_nominal and not 0 <= int(value) < attr.arity:
+                raise _out_of_range(value, attr.arity)
         leaf = self.sort_to_leaf(instance)
         return self._predict_leaf(leaf, instance.values)
 

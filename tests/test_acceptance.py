@@ -2,10 +2,11 @@
 
 Each criterion prints one PASS/FAIL line.  The size/accuracy trend checks
 share one benchmark grid (5 synthetic streams x seeds 1..5 x two tiebreak
-values x three algorithms, 200k instances per run), built once per session
-and parallelised over processes.  Tree growth does not depend on the leaf
-predictor (pinned by a unit test), so the grid runs with NB leaves: the
-same runs serve the size criteria and the accuracy criteria.
+values x three algorithms, 200k instances per run), run once per session
+through ``run_experiment`` on up to two worker processes.  Tree growth does
+not depend on the leaf predictor (pinned by a unit test), so the grid runs
+with NB leaves: the same runs serve the size criteria and the accuracy
+criteria.
 
 Run with ``pytest tests/test_acceptance.py -v -s``; expect tens of minutes.
 """
@@ -14,19 +15,18 @@ import math
 import os
 import random
 import statistics
-from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
 from streamtree.core import ClassDistribution, entropy, hoeffding_bound, information_gain
-from streamtree.evaluation import kappa_m, prequential_run
+from streamtree.evaluation import kappa_m
 from streamtree.experiment import (
     ExperimentConfig,
     load_records,
     make_learner,
     run_experiment,
 )
-from streamtree.streams import LedStream, RbfStream, SeaStream
+from streamtree.streams import LedStream, SeaStream
 from streamtree.svfdt import can_split
 from streamtree.tree import LeafNode, TreeConfig
 
@@ -34,7 +34,14 @@ N_INSTANCES = 200_000
 SEEDS = (1, 2, 3, 4, 5)
 TIEBREAKS = (0.05, 0.20)
 ALGORITHMS = ("vfdt", "svfdt-i", "svfdt-ii")
-GRID_STREAMS = ("led0", "led10", "led20", "sea", "rbf")
+GRID_SPECS = (
+    {"name": "led0", "type": "led", "noise": 0.0},
+    {"name": "led10", "type": "led", "noise": 0.10},
+    {"name": "led20", "type": "led", "noise": 0.20},
+    {"name": "sea", "type": "sea"},
+    {"name": "rbf", "type": "rbf", "n_attrs": 10, "n_classes": 2, "n_centroids": 50},
+)
+GRID_STREAMS = tuple(spec["name"] for spec in GRID_SPECS)
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
@@ -42,63 +49,26 @@ def report(criterion: str, ok: bool, detail: str) -> None:
     assert ok, f"criterion {criterion}: {detail}"
 
 
-def build_stream(name: str, seed: int, n: int = N_INSTANCES):
-    if name == "led0":
-        return LedStream(noise=0.0, seed=seed, n=n)
-    if name == "led10":
-        return LedStream(noise=0.10, seed=seed, n=n)
-    if name == "led20":
-        return LedStream(noise=0.20, seed=seed, n=n)
-    if name == "sea":
-        return SeaStream(seed=seed, n=n)
-    if name == "rbf":
-        return RbfStream(n_attrs=10, n_classes=2, n_centroids=50, seed=seed, n=n)
-    raise ValueError(name)
-
-
-def _grid_task(args):
-    """One (stream, seed): all algorithm x tiebreak runs over shared instances."""
-    stream_name, seed = args
-    stream = build_stream(stream_name, seed)
-    instances = list(stream)
-    out = []
-    for tiebreak in TIEBREAKS:
-        config = TreeConfig(tiebreak=tiebreak, leaf_prediction="nb")
-        for algorithm in ALGORITHMS:
-            learner = make_learner(algorithm, stream.schema, config)
-            result = prequential_run(learner, instances, snapshot_every=N_INSTANCES // 2)
-            half, full = result.snapshots[0], result.final
-            late_correct = full.accuracy * full.instances_seen - (
-                half.accuracy * half.instances_seen
-            )
-            out.append(
-                {
-                    "stream": stream_name,
-                    "seed": seed,
-                    "tiebreak": tiebreak,
-                    "algorithm": algorithm,
-                    "accuracy": full.accuracy,
-                    "late_accuracy": late_correct / (full.instances_seen - half.instances_seen),
-                    "nodes": full.node_count,
-                }
-            )
-    return out
-
-
 @pytest.fixture(scope="session")
-def grid():
-    tasks = [(name, seed) for name in GRID_STREAMS for seed in SEEDS]
-    workers = int(os.environ.get("STREAMTREE_ACCEPTANCE_WORKERS",
-                                 min(2, os.cpu_count() or 1)))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_grid_task, tasks))
-    else:
-        chunks = [_grid_task(task) for task in tasks]
+def grid(tmp_path_factory):
+    config = ExperimentConfig.from_dict({
+        "streams": [dict(spec, n=N_INSTANCES) for spec in GRID_SPECS],
+        "algorithms": list(ALGORITHMS),
+        "tiebreaks": list(TIEBREAKS),
+        "seeds": list(SEEDS),
+        "leaf_prediction": "nb",
+        "snapshot_every": N_INSTANCES // 2,
+        "workers": min(2, os.cpu_count() or 1),
+    })
     table = {}
-    for chunk in chunks:
-        for row in chunk:
-            table[(row["stream"], row["seed"], row["tiebreak"], row["algorithm"])] = row
+    for record in run_experiment(config, tmp_path_factory.mktemp("acceptance-grid")):
+        half, full = record["snapshots"][0], record["snapshots"][-1]
+        late_correct = full[1] * full[0] - half[1] * half[0]
+        table[(record["stream"], record["seed"], record["tiebreak"], record["algorithm"])] = {
+            "accuracy": record["accuracy"],
+            "late_accuracy": late_correct / (full[0] - half[0]),
+            "nodes": record["node_count"],
+        }
     return table
 
 

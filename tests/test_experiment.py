@@ -106,7 +106,7 @@ class TestRunExperiment:
         b = [strip_time(r) for r in load_records(tmp_path / "b" / "results.jsonl")]
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
-    def test_worker_threads_preserve_output_order(self, tmp_path):
+    def test_worker_processes_preserve_output_order(self, tmp_path):
         config = ExperimentConfig.from_dict(dict(BASE_CONFIG, workers=3, seeds=[1, 2]))
         run_experiment(config, tmp_path / "par")
         sequential = ExperimentConfig.from_dict(dict(BASE_CONFIG, seeds=[1, 2]))
@@ -126,6 +126,92 @@ class TestRunExperiment:
         first = [dict(r, repetition=0, run_id="") for r in by_rep[1]]
         second = [dict(r, repetition=0, run_id="") for r in by_rep[2]]
         assert first == second
+
+    def test_records_come_in_task_order(self, tmp_path):
+        config = ExperimentConfig.from_dict(dict(
+            BASE_CONFIG, streams=[BASE_CONFIG["streams"][0], {"name": "sea", "type": "sea",
+                                                                "n": 300}],
+            tiebreaks=[0.05, 0.1], seeds=[2, 1], workers=2))
+        records = run_experiment(config, tmp_path / "out")
+        expected = [
+            run_id(stream, algorithm, tiebreak, seed, 1)
+            for stream in ("led", "sea")
+            for seed in (2, 1)
+            for algorithm in ("vfdt", "svfdt-i", "svfdt-ii")
+            for tiebreak in (0.05, 0.1)
+        ]
+        assert [r["run_id"] for r in records] == expected
+        assert [r["run_id"] for r in load_records(tmp_path / "out" / "results.jsonl")] == expected
+        summary = (tmp_path / "out" / "summary.csv").read_text().splitlines()[1:]
+        assert [line.split(",")[:4] for line in summary] == [
+            [stream, algorithm, tiebreak, "2"]
+            for stream in ("led", "sea")
+            for algorithm in ("vfdt", "svfdt-i", "svfdt-ii")
+            for tiebreak in ("0.05", "0.1")
+        ]
+
+    def test_repeated_run_id_rejected(self, tmp_path):
+        config = ExperimentConfig.from_dict(dict(BASE_CONFIG, seeds=[1, 1]))
+        with pytest.raises(ConfigError, match="run_id"):
+            run_experiment(config, tmp_path / "out")
+
+
+class TestResume:
+    CONFIG = dict(BASE_CONFIG, streams=[
+        {"name": "led", "type": "led", "noise": 0.1, "n": 400},
+        {"name": "sea", "type": "sea", "n": 400},
+    ], seeds=[1, 2], tiebreaks=[0.05, 0.2])
+
+    def test_truncated_results_resume_to_the_clean_records(self, tmp_path):
+        config = ExperimentConfig.from_dict(self.CONFIG)
+        clean = [strip_time(r) for r in run_experiment(config, tmp_path / "clean")]
+        lines = (tmp_path / "clean" / "results.jsonl").read_text().splitlines(keepends=True)
+        assert len(lines) == 24
+        out = tmp_path / "resumed"
+        out.mkdir()
+        # Two whole tasks, half of a third, and a torn line.
+        (out / "results.jsonl").write_text("".join(lines[:15]) + lines[15][:40])
+        kept = {r["run_id"]: r for r in load_records(tmp_path / "clean" / "results.jsonl")[:15]}
+        records = run_experiment(config, out)
+        assert [strip_time(r) for r in records] == clean
+        written = load_records(out / "results.jsonl")
+        assert [strip_time(r) for r in written] == clean
+        for record in written:  # kept records are not re-run
+            if record["run_id"] in kept:
+                assert record == kept[record["run_id"]]
+        assert (out / "summary.csv").read_text().splitlines()[0].startswith("stream,")
+
+    def test_finished_tasks_do_not_rebuild_their_stream(self, tmp_path):
+        data = tmp_path / "data.csv"
+        data.write_text("".join(f"{i % 7 / 7},{'ab'[i % 2]}\n" for i in range(300)))
+        payload = dict(self.CONFIG, streams=[{
+            "name": "file", "type": "csv", "path": str(data),
+            "columns": [{"name": "x1", "kind": "numeric"}], "classes": ["a", "b"],
+        }, self.CONFIG["streams"][0]])
+        config = ExperimentConfig.from_dict(payload)
+        first = run_experiment(config, tmp_path / "out")
+        path = tmp_path / "out" / "results.jsonl"
+        path.write_text("".join(path.read_text().splitlines(keepends=True)[:-3]))
+        data.unlink()  # only the csv tasks could need it
+        again = run_experiment(config, tmp_path / "out")
+        assert [strip_time(r) for r in again] == [strip_time(r) for r in first]
+        assert again[:12] == first[:12]
+
+    def test_records_of_another_config_are_not_kept(self, tmp_path):
+        run_experiment(ExperimentConfig.from_dict(self.CONFIG), tmp_path / "out")
+        other = ExperimentConfig.from_dict(dict(self.CONFIG, grace_period=100))
+        records = run_experiment(other, tmp_path / "out")
+        assert {r["config_hash"] for r in records} == {other.config_hash()}
+        assert len(load_records(tmp_path / "out" / "results.jsonl")) == 24
+
+    def test_unparseable_line_before_the_last_is_an_error(self, tmp_path):
+        config = ExperimentConfig.from_dict(self.CONFIG)
+        run_experiment(config, tmp_path / "out")
+        path = tmp_path / "out" / "results.jsonl"
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:3]) + "{torn\n" + "".join(lines[3:]))
+        with pytest.raises(ValueError, match="line 4"):
+            run_experiment(config, tmp_path / "out")
 
 
 def fake_record(algorithm, stream, tiebreak, seed, acc, nodes, kappa=0.5, secs=1.0):
@@ -250,6 +336,26 @@ class TestCli:
         assert main(["run", "--config", str(path), "--output-dir", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert "row 4" in err and "'x1'" in err
+
+    def test_non_finite_csv_cell_is_data_error_on_worker_processes(self, tmp_path, capsys):
+        # Two seeds make two tasks, so the error is raised in a worker
+        # process and has to reach this one through a pickle.
+        data = tmp_path / "data.csv"
+        data.write_text("x1,label\n0.5,a\n0.25,b\n0.75,a\nnan,b\n", encoding="utf-8")
+        payload = dict(
+            BASE_CONFIG,
+            seeds=[1, 2],
+            streams=[{
+                "name": "file", "type": "csv", "path": str(data), "header": True,
+                "columns": [{"name": "x1", "kind": "numeric"}],
+                "classes": ["a", "b"],
+            }],
+        )
+        path = write_config(tmp_path, payload)
+        assert main(["run", "--config", str(path), "--output-dir", str(tmp_path / "out"),
+                     "--workers", "2"]) == 2
+        err = capsys.readouterr().err
+        assert "row 5" in err and "'x1'" in err and "Traceback" not in err
 
     def test_stream_filter_unknown_name(self, tmp_path, capsys):
         path = write_config(tmp_path, BASE_CONFIG)

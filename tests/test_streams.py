@@ -1,11 +1,13 @@
 import itertools
 import math
+import pickle
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamtree.core import ConfigError
+from streamtree.core import ConfigError, Instance
 from streamtree.streams import (
     LED_SEGMENTS,
     CsvColumn,
@@ -144,6 +146,35 @@ class TestRbfStream:
 
         assert spread(wide) > 100 * spread(narrow)
 
+    @staticmethod
+    def reference_iter(stream):
+        """The generator as it was before Box-Muller was inlined: a linear
+        centroid scan and one ``random.gauss`` call per Gaussian draw."""
+        rng = random.Random(stream.seed)
+        centroids, cumulative = stream._draw_centroids(rng)
+        total = cumulative[-1]
+        for _ in range(stream.n):
+            r = rng.random() * total
+            idx = 0
+            while cumulative[idx] < r:
+                idx += 1
+            center, label, _, stdev = centroids[idx]
+            direction = [rng.gauss(0.0, 1.0) for _ in range(stream.n_attrs)]
+            norm = math.sqrt(math.fsum(x * x for x in direction)) or 1.0
+            magnitude = rng.gauss(0.0, 1.0) * stdev
+            scale = magnitude / norm
+            yield Instance(tuple(c + x * scale for c, x in zip(center, direction)), label)
+
+    @pytest.mark.parametrize("seed,n_attrs,n_classes", [
+        (1, 50, 2), (2, 50, 2), (7, 50, 2), (3, 10, 3), (4, 1, 2),
+    ])
+    def test_same_instances_as_the_reference_generator(self, seed, n_attrs, n_classes):
+        # Odd and even draw counts per instance, so the cached second value
+        # of a Box-Muller pair is carried across instances.
+        stream = RbfStream(n_attrs=n_attrs, n_classes=n_classes, n_centroids=50,
+                           seed=seed, n=10_000)
+        assert list(stream) == list(self.reference_iter(stream))
+
 
 @st.composite
 def generator_configs(draw):
@@ -227,3 +258,13 @@ class TestCsvStream:
         stream = self.make(tmp_path, "red,1.5,maybe\n")
         with pytest.raises(StreamFormatError, match="'maybe'"):
             list(stream)
+
+
+@pytest.mark.parametrize("column", ["size", None])
+def test_stream_format_error_survives_pickling(column):
+    error = StreamFormatError("non-finite number 'nan'", 4, column)
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is StreamFormatError
+    assert (copy.row, copy.column, str(copy)) == (4, column, str(error))
+    assert str(error) == "non-finite number 'nan' (row 4" + (
+        ", column 'size')" if column else ")")

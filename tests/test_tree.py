@@ -86,6 +86,22 @@ class TestRouting:
                 tree.train_one(Instance((bad, 0), 0))
         assert tree.instances_trained == trained
 
+    def test_mc_leaf_prediction_rejects_out_of_range_nominal_values(self):
+        # No split yet, so routing checks nothing; predict() itself must.
+        schema = Schema((Attribute.nominal("a", 3), Attribute.nominal("b", 2)), 3)
+        tree = HoeffdingTree(schema, TreeConfig(leaf_prediction="mc"))
+        rng = random.Random(1)
+        for _ in range(50):
+            tree.train_one(Instance((rng.randrange(3), rng.randrange(2)), rng.randrange(3)))
+        assert not tree.split_log
+        tree.predict(Instance((2, 1)))
+        with pytest.raises(ContractViolation, match=r"-1 out of range \[0, 3\)"):
+            tree.predict(Instance((-1, 7)))
+        with pytest.raises(ContractViolation, match=r"5 out of range \[0, 3\)"):
+            tree.predict(Instance((5, 0)))
+        with pytest.raises(ContractViolation, match=r"7 out of range \[0, 2\)"):
+            tree.predict(Instance((0, 7)))
+
     def test_routing_is_deterministic(self):
         tree = HoeffdingTree(TWO_NOMINAL)
         for inst in perfect_attribute_stream(600, seed=3):
