@@ -55,8 +55,7 @@ class NominalObserver:
         self.counts = [[0.0] * arity for _ in range(n_classes)]
 
     def observe(self, value, class_index: int, weight: float = 1.0) -> None:
-        v = int(value)
-        if not 0 <= v < self.arity:
+        if not 0 <= value < self.arity or (v := int(value)) != value:
             raise _out_of_range(value, self.arity)
         self.counts[class_index][v] += weight
 
@@ -132,37 +131,7 @@ class GaussianNumericObserver:
         return self.m2[class_index] / (n - 1.0)
 
     def best_split(self, pre_dist: ClassDistribution) -> SplitCandidate | None:
-        lo, hi = self.vmin, self.vmax
-        if not lo < hi:  # no observations, or a single repeated value
-            return None
-        n_classes = len(self.counts)
-        steps = np.arange(1, self.bins + 1, dtype=float) / (self.bins + 1)
-        thresholds = lo + (hi - lo) * steps
-        below = np.zeros((n_classes, self.bins))
-        for c in range(n_classes):
-            n_c = self.counts[c]
-            if n_c <= 0.0:
-                continue  # unseen class contributes no weight to either side
-            sd = math.sqrt(self.variance(c))
-            if sd == 0.0:
-                below[c] = np.where(self.means[c] <= thresholds, n_c, 0.0)
-            else:
-                below[c] = n_c * ndtr((thresholds - self.means[c]) / sd)
-        totals = np.asarray(self.counts)
-        above = totals[:, None] - below
-
-        n = pre_dist.total
-        gains = (
-            entropy(pre_dist)
-            - _column_entropies(below) * (below.sum(axis=0) / n)
-            - _column_entropies(above) * (above.sum(axis=0) / n)
-        )
-        best = int(np.argmax(gains))
-        post = [
-            ClassDistribution.from_weights(below[:, best]),
-            ClassDistribution.from_weights(above[:, best]),
-        ]
-        return SplitCandidate(self.attribute, float(thresholds[best]), float(gains[best]), post)
+        return numeric_best_splits([self], pre_dist)[0]
 
     def nb_likelihood(self, value, class_index: int) -> float:
         """Gaussian density of ``value`` under the class; point mass if variance is 0."""
@@ -177,6 +146,64 @@ class GaussianNumericObserver:
         return 1.0 if abs(diff) <= _POINT_MASS_TOL else 0.0
 
 
+def numeric_best_splits(observers, pre_dist: ClassDistribution) -> list[SplitCandidate | None]:
+    """Best threshold candidate of each Gaussian observer of one leaf, in one pass.
+
+    The observers must share ``bins``.  Entry i is None when observer i has
+    no observations or one repeated value.  Every float is computed by the
+    same elementwise operation as scoring the observers one at a time, and
+    the class sums run over a contiguous leading class axis in class order,
+    so the candidates do not depend on which other observers are scored.
+    """
+    results: list[SplitCandidate | None] = [None] * len(observers)
+    live = [i for i, obs in enumerate(observers) if obs.vmin < obs.vmax]
+    if not live:
+        return results
+    bins = observers[live[0]].bins
+    if any(observers[i].bins != bins for i in live):
+        raise ContractViolation("observers scored together must share bins")
+    lo = np.array([observers[i].vmin for i in live])
+    hi = np.array([observers[i].vmax for i in live])
+    counts = np.array([observers[i].counts for i in live])  # (attributes, classes)
+    means = np.array([observers[i].means for i in live])
+    m2 = np.array([observers[i].m2 for i in live])
+    steps = np.arange(1, bins + 1, dtype=float) / (bins + 1)
+    thresholds = lo[:, None] + (hi - lo)[:, None] * steps  # (attributes, bins)
+
+    sd = np.sqrt(np.divide(m2, counts - 1.0, out=np.zeros_like(m2), where=counts > 1.0))
+    # (classes, attributes, 1) against (attributes, bins): each side's weight is
+    # the class count scaled by the normal CDF, or a point mass where sd is 0.
+    # An unseen class has count 0 and sd 0, so it puts no weight on either side.
+    n_c, mu, sd = (x.T[:, :, None] for x in (counts, means, sd))
+    spread = sd > 0.0
+    below = np.where(
+        spread,
+        n_c * ndtr((thresholds - mu) / np.where(spread, sd, 1.0)),
+        np.where(mu <= thresholds, n_c, 0.0),
+    )
+    above = n_c - below
+
+    n = pre_dist.total
+    gains = (
+        entropy(pre_dist)
+        - _column_entropies(below) * (below.sum(axis=0) / n)
+        - _column_entropies(above) * (above.sum(axis=0) / n)
+    )
+    rows = np.arange(len(live))
+    best = gains.argmax(axis=1)
+    picked = zip(
+        live,
+        thresholds[rows, best].tolist(),
+        gains[rows, best].tolist(),
+        below[:, rows, best].T.tolist(),
+        above[:, rows, best].T.tolist(),
+    )
+    for i, threshold, merit, left, right in picked:
+        post = [ClassDistribution.from_weights(left), ClassDistribution.from_weights(right)]
+        results[i] = SplitCandidate(observers[i].attribute, threshold, merit, post)
+    return results
+
+
 def naive_bayes_scores(observers, values, priors, prior_total: float, class_counts) -> list[float]:
     """Unnormalised naive-Bayes scores P(c) * prod_a P(x_a | c) of one leaf.
 
@@ -189,16 +216,16 @@ def naive_bayes_scores(observers, values, priors, prior_total: float, class_coun
     runs).  Each class's product runs over the attributes in leaf order, so
     a score has the bits of multiplying the observers' ``nb_likelihood``
     values in turn.  Classes without prior weight score 0.  Raises
-    ContractViolation for a nominal value outside [0, arity).
+    ContractViolation for a nominal value that is not an integer in [0, arity).
     """
     # Per-instance work, once per attribute.  A nominal entry is
     # (index, counts, arity, None), a numeric one (value, None, None, observer).
     hoisted = []
     for a, obs in observers:
         if type(obs) is NominalObserver:
-            v = int(values[a])
-            if not 0 <= v < obs.arity:
-                raise _out_of_range(values[a], obs.arity)
+            value = values[a]
+            if not 0 <= value < obs.arity or (v := int(value)) != value:
+                raise _out_of_range(value, obs.arity)
             hoisted.append((v, obs.counts, obs.arity, None))
         else:
             hoisted.append((values[a], None, None, obs))
@@ -225,7 +252,7 @@ def _out_of_range(value, arity: int) -> ContractViolation:
 
 
 def _column_entropies(matrix: np.ndarray) -> np.ndarray:
-    """Entropy in bits of each column of a (classes x columns) weight matrix."""
+    """Entropy in bits of each column of a weight array whose first axis is the class."""
     totals = matrix.sum(axis=0)
     safe = np.where(totals > 0.0, totals, 1.0)
     p = matrix / safe

@@ -21,7 +21,14 @@ from .core import (
     Schema,
     hoeffding_bound,
 )
-from .observers import SplitCandidate, _out_of_range, make_observer, naive_bayes_scores
+from .observers import (
+    GaussianNumericObserver,
+    SplitCandidate,
+    _out_of_range,
+    make_observer,
+    naive_bayes_scores,
+    numeric_best_splits,
+)
 
 LEAF_PREDICTION_MODES = ("mc", "nb")
 MERIT_RANGE_MODES = ("unit", "log2c")
@@ -127,11 +134,11 @@ class SplitNode:
         self.children = children
 
     def branch_for(self, values) -> int:
-        """Child index for ``values``; a nominal value outside [0, arity) raises."""
+        """Child index for ``values``; a nominal value must be an integer in [0, arity)."""
         if self.threshold is None:
-            v = int(values[self.attribute])
-            if not 0 <= v < len(self.children):
-                raise _out_of_range(values[self.attribute], len(self.children))
+            value = values[self.attribute]
+            if not 0 <= value < len(self.children) or (v := int(value)) != value:
+                raise _out_of_range(value, len(self.children))
             return v
         return 0 if values[self.attribute] <= self.threshold else 1
 
@@ -227,9 +234,9 @@ class HoeffdingTree:
     # -- prediction ----------------------------------------------------
 
     def predict(self, instance: Instance) -> tuple[int, list[float]]:
-        """Raises ContractViolation for a nominal value outside [0, arity)."""
+        """Raises ContractViolation unless each nominal value is an integer in [0, arity)."""
         for attr, value in zip(self.schema.attributes, instance.values):
-            if attr.is_nominal and not 0 <= int(value) < attr.arity:
+            if attr.is_nominal and (not 0 <= value < attr.arity or int(value) != value):
                 raise _out_of_range(value, attr.arity)
         leaf = self.sort_to_leaf(instance)
         return self._predict_leaf(leaf, instance.values)
@@ -278,12 +285,16 @@ class HoeffdingTree:
         return prediction
 
     def _rank_candidates(self, leaf: LeafNode) -> list[SplitCandidate]:
+        # Numeric attributes are scored together, then merged back into
+        # attribute order with the nominal ones.
         pre = leaf.observed
-        candidates = []
-        for _, obs in leaf.observers:
-            cand = obs.best_split(pre)
-            if cand is not None:
-                candidates.append(cand)
+        numeric = [obs for _, obs in leaf.observers if type(obs) is GaussianNumericObserver]
+        numeric_splits = iter(numeric_best_splits(numeric, pre))
+        scored = [
+            next(numeric_splits) if type(obs) is GaussianNumericObserver else obs.best_split(pre)
+            for _, obs in leaf.observers
+        ]
+        candidates = [cand for cand in scored if cand is not None]
         candidates.sort(key=lambda c: -c.merit)  # stable: merit ties keep attr order
         return candidates
 

@@ -23,6 +23,14 @@ class TestNominalObserver:
         with pytest.raises(ContractViolation):
             obs.observe(-1, 0)
 
+    @pytest.mark.parametrize("bad", [1.5, -0.5, 2.999, math.nan, math.inf, -math.inf])
+    def test_value_that_is_no_whole_number_rejected(self, bad):
+        obs = NominalObserver(0, n_classes=2, arity=3)
+        with pytest.raises(ContractViolation, match="out of range"):
+            obs.observe(bad, 0)
+        obs.observe(2.0, 1)
+        assert obs.counts == [[0.0, 0.0, 0.0], [0.0, 0.0, 1.0]]
+
     def test_perfect_separation_merit(self):
         obs = NominalObserver(0, n_classes=2, arity=2)
         for _ in range(5):

@@ -1,5 +1,9 @@
 """Hypothesis properties of the learners that hand examples cannot pin."""
+import contextlib
 import copy
+import io
+import json
+import math
 import random
 import tempfile
 from pathlib import Path
@@ -8,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from streamtree.core import Attribute, ClassDistribution, Instance, Schema
-from streamtree.experiment import ExperimentConfig, make_learner, run_experiment
-from streamtree.streams import LedStream, SeaStream
+from streamtree.experiment import ExperimentConfig, main, make_learner, run_experiment
+from streamtree.streams import LedStream, RbfStream, SeaStream
 from streamtree.svfdt import leaf_entropy_stats
 from streamtree.tree import LeafNode, TreeConfig
 
@@ -40,6 +44,8 @@ def test_leaf_entropy_stats_ignore_leaf_order(data, leaf_weights):
 def make_stream(kind: str, seed: int, n: int):
     if kind == "led":
         return LedStream(noise=0.1, seed=seed, n=n)
+    if kind == "rbf10":
+        return RbfStream(n_attrs=10, seed=seed, n=n)
     return SeaStream(seed=seed, n=n)
 
 
@@ -63,6 +69,90 @@ def test_train_one_prediction_is_label_blind(kind, seed, prefix, algorithm, mode
         for label in range(learner.schema.class_count)
     }
     assert len(predictions) == 1
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    kind=st.sampled_from(["led", "sea", "rbf10"]),
+    seed=st.integers(1, 10_000),
+    n=st.integers(200, 3000),
+    algorithm=st.sampled_from(["vfdt", "svfdt-i", "svfdt-ii"]),
+    mode=st.sampled_from(["mc", "nb"]),
+)
+def test_splits_conserve_the_leaf_weight(kind, seed, n, algorithm, mode):
+    # A split hands the leaf's observed weight of each class to its children:
+    # exactly for a nominal fan-out, up to rounding for a numeric threshold.
+    learner = make_learner(algorithm, make_stream(kind, seed, 1).schema,
+                           TreeConfig(grace_period=50, tiebreak=0.2, leaf_prediction=mode))
+    splits = []
+    split = learner._split
+
+    def recording_split(leaf, parent, branch, winner):
+        split(leaf, parent, branch, winner)
+        node = learner.root if parent is None else parent.children[branch]
+        splits.append((list(leaf.observed.weights), winner.is_nominal,
+                       [list(child.dist.weights) for child in node.children]))
+
+    learner._split = recording_split
+    for instance in make_stream(kind, seed, n):
+        learner.train_one(instance)
+    for observed, nominal, children in splits:
+        for c, weight in enumerate(observed):
+            handed_down = math.fsum(child[c] for child in children)
+            if nominal:
+                assert handed_down == weight
+            else:
+                assert abs(handed_down - weight) <= 1e-9 * weight
+
+
+CSV_COLUMNS = [{"name": "x", "kind": "numeric"},
+               {"name": "color", "kind": "nominal", "values": ["r", "g", "b"]}]
+# Each fault: the feature cells of a faulty row, and the column its error must name
+# (none for a missing field, which no single column owns).
+CSV_FAULTS = {
+    "nan": (lambda x, color: [" nan", color], "x"),
+    "inf": (lambda x, color: ["-inf", color], "x"),
+    "text": (lambda x, color: ["abc", color], "x"),
+    "unknown value": (lambda x, color: [x, "purple"], "color"),
+    "missing column": (lambda x, color: [x], None),
+}
+
+
+@settings(max_examples=15, deadline=None)
+@given(rows=st.lists(
+    st.tuples(st.floats(0.0, 1.0), st.sampled_from("rgb"), st.sampled_from("ab"),
+              st.sampled_from([None, None, None, *CSV_FAULTS])),
+    min_size=1, max_size=60,
+))
+def test_csv_rows_are_learned_or_rejected_with_their_position(rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp)
+        lines = []
+        for x, color, label, fault in rows:
+            cells = [repr(x), color] if fault is None else CSV_FAULTS[fault][0](repr(x), color)
+            lines.append(",".join([*cells, label]) + "\n")
+        data = directory / "data.csv"
+        data.write_text("".join(lines), encoding="utf-8")
+        config = directory / "config.json"
+        config.write_text(json.dumps({
+            "streams": [{"name": "file", "type": "csv", "path": str(data),
+                         "columns": CSV_COLUMNS, "classes": ["a", "b"]}],
+            "algorithms": ["vfdt", "svfdt-ii"], "seeds": [1], "grace_period": 10,
+            "snapshot_every": 20, "workers": 1,
+        }), encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["run", "--config", str(config), "--output-dir", str(directory / "out")])
+    faults = [(row, fault) for row, (*_, fault) in enumerate(rows, start=1) if fault]
+    if not faults:
+        assert code == 0
+        return
+    row, fault = faults[0]
+    assert code == 2
+    assert f"(row {row}" in err.getvalue()
+    column = CSV_FAULTS[fault][1]
+    if column is not None:
+        assert f"column {column!r}" in err.getvalue()
 
 
 def untimed(record: dict) -> dict:

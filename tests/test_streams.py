@@ -213,6 +213,22 @@ def test_generated_instances_conform_to_schema(stream):
         stream.schema.validate_instance(inst)
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3, 17, 2024])
+@pytest.mark.parametrize("make", [
+    lambda seed: LedStream(noise=0.1, seed=seed, n=2000),
+    lambda seed: LedStream(noise=0.0, irrelevant=0, seed=seed, n=2000),
+    lambda seed: SeaStream(seed=seed, n=2000),
+    lambda seed: RbfStream(n_attrs=10, seed=seed, n=2000),
+    lambda seed: RbfStream(n_attrs=50, n_classes=5, seed=seed, n=2000),
+], ids=["led", "led-noiseless", "sea", "rbf10", "rbf50"])
+def test_experiment_streams_conform_to_schema(make, seed):
+    # The stream settings the experiments and the benchmark run, over longer
+    # prefixes than the random configurations above.
+    stream = make(seed)
+    for inst in stream:
+        stream.schema.validate_instance(inst)
+
+
 class TestCsvStream:
     COLUMNS = [
         CsvColumn("color", "nominal", ("red", "green", "blue")),

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -79,7 +80,7 @@ class TestRouting:
             tree.train_one(Instance((label, rng.randrange(2)), label))
         assert tree.root.attribute == 0 and tree.root.threshold is None
         trained = tree.instances_trained
-        for bad in (-1, 3):
+        for bad in (-1, 3, 1.7, -0.5, math.nan, math.inf):
             with pytest.raises(ContractViolation, match=r"out of range \[0, 3\)"):
                 tree.predict(Instance((bad, 0)))
             with pytest.raises(ContractViolation, match=r"out of range \[0, 3\)"):
@@ -99,6 +100,8 @@ class TestRouting:
             tree.predict(Instance((-1, 7)))
         with pytest.raises(ContractViolation, match=r"5 out of range \[0, 3\)"):
             tree.predict(Instance((5, 0)))
+        with pytest.raises(ContractViolation, match=r"2.9 out of range \[0, 3\)"):
+            tree.predict(Instance((2.9, 0)))
         with pytest.raises(ContractViolation, match=r"7 out of range \[0, 2\)"):
             tree.predict(Instance((0, 7)))
 
@@ -182,6 +185,21 @@ class TestTraining:
         tree = HoeffdingTree(TWO_NOMINAL)
         with pytest.raises(ContractViolation):
             tree.train_one(Instance((0, 0), None))
+
+    @pytest.mark.parametrize("bad", [1.7, -0.5, math.nan, math.inf])
+    @pytest.mark.parametrize("mode", ["mc", "nb"])
+    def test_nominal_value_that_is_no_whole_number_rejected(self, bad, mode):
+        # The first instance meets an empty leaf, so the observer must check;
+        # later ones meet the NB kernel first in "nb" mode.
+        schema = Schema((Attribute.nominal("a", 3), Attribute.numeric("x")), 2)
+        tree = HoeffdingTree(schema, TreeConfig(leaf_prediction=mode))
+        with pytest.raises(ContractViolation, match=r"out of range \[0, 3\)"):
+            tree.train_one(Instance((bad, 0.5), 0))
+        tree = HoeffdingTree(schema, TreeConfig(leaf_prediction=mode))
+        for label in (0, 1, 0):
+            tree.train_one(Instance((label, 0.5), label))
+        with pytest.raises(ContractViolation, match=r"out of range \[0, 3\)"):
+            tree.train_one(Instance((bad, 0.5), 0))
 
     def test_children_inherit_post_split_state(self):
         tree = HoeffdingTree(TWO_NOMINAL, TreeConfig(grace_period=200))
