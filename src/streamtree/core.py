@@ -88,8 +88,7 @@ class Schema:
             )
         for attr, value in zip(self.attributes, instance.values):
             if attr.is_nominal:
-                v = int(value)
-                if v != value or not 0 <= v < attr.arity:
+                if not 0 <= value < attr.arity or int(value) != value:
                     raise ContractViolation(
                         f"value {value!r} out of range for nominal attribute "
                         f"{attr.name!r} (arity {attr.arity})"

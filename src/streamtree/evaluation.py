@@ -79,34 +79,16 @@ class RunningMajority:
     def prequential_rate(self) -> float:
         return self.correct / self.seen if self.seen else 0.0
 
-    @property
-    def full_stream_rate(self) -> float:
-        """Frequency of the most common class over the prefix seen so far."""
-        return max(self.counts) / self.seen if self.seen else 0.0
-
-
-def majority_baseline(labels, n_classes: int) -> float:
-    """Prequential accuracy of the running-majority predictor on a label sequence."""
-    baseline = RunningMajority(n_classes)
-    for label in labels:
-        baseline.update(label)
-    if baseline.seen == 0:
-        raise ContractViolation("label sequence must not be empty")
-    return baseline.prequential_rate
-
 
 def prequential_run(
     learner,
     stream,
     snapshot_every: int = 10000,
     metadata: dict | None = None,
-    majority_mode: str = "prequential",
 ) -> RunResult:
     """Run one learner over one stream, test-then-train, collecting snapshots."""
     if snapshot_every < 1:
         raise ContractViolation(f"snapshot_every must be >= 1, got {snapshot_every}")
-    if majority_mode not in ("prequential", "full"):
-        raise ContractViolation(f"unknown majority_mode {majority_mode!r}")
     majority = RunningMajority(learner.schema.class_count)
     correct = 0
     seen = 0
@@ -117,9 +99,7 @@ def prequential_run(
 
     def record() -> EvalRecord:
         accuracy = correct / seen
-        pm = majority.prequential_rate if majority_mode == "prequential" else (
-            majority.full_stream_rate
-        )
+        pm = majority.prequential_rate
         kappa = kappa_m(accuracy, pm) if pm < 1.0 else 0.0
         nodes, leaves, _ = learner.tree_size()
         return EvalRecord(seen, accuracy, kappa, nodes, leaves, elapsed)

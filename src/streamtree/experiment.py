@@ -17,7 +17,7 @@ import os
 import statistics
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import repeat
 from pathlib import Path
 
@@ -28,6 +28,7 @@ from .svfdt import StrictHoeffdingTree
 from .tree import HoeffdingTree, TreeConfig
 
 ALGORITHMS = ("vfdt", "svfdt-i", "svfdt-ii")
+GENERATORS = {"led": LedStream, "sea": SeaStream, "rbf": RbfStream}
 
 RESULTS_FILE = "results.jsonl"
 SUMMARY_FILE = "summary.csv"
@@ -63,44 +64,16 @@ class StreamSpec:
         params = dict(raw)
         kind = params.pop("type")
         name = params.pop("name", None) or kind
-        if kind not in ("led", "sea", "rbf", "csv"):
+        if kind not in (*GENERATORS, "csv"):
             raise ConfigError(f"unknown stream type {kind!r} in stream {name!r}")
         return StreamSpec(name, kind, params)
 
     def build(self, seed: int):
+        """The stream; an unknown or missing parameter raises ConfigError."""
         p = dict(self.params)
         try:
-            if self.type == "led":
-                return LedStream(
-                    noise=p.pop("noise", 0.0),
-                    irrelevant=p.pop("irrelevant", 17),
-                    n=p.pop("n"),
-                    seed=seed,
-                    **p,
-                )
-            if self.type == "sea":
-                kwargs = {}
-                if "thresholds" in p:
-                    kwargs["thresholds"] = tuple(p.pop("thresholds"))
-                if "block_size" in p:
-                    kwargs["block_size"] = p.pop("block_size")
-                return SeaStream(
-                    n=p.pop("n"), noise=p.pop("noise", 0.10), seed=seed, **kwargs, **p
-                )
-            if self.type == "rbf":
-                kwargs = {}
-                if "deviation_range" in p:
-                    kwargs["deviation_range"] = tuple(p.pop("deviation_range"))
-                return RbfStream(
-                    n_attrs=p.pop("n_attrs", 10),
-                    n_classes=p.pop("n_classes", 2),
-                    n_centroids=p.pop("n_centroids", 50),
-                    n=p.pop("n"),
-                    seed=seed,
-                    **kwargs,
-                    **p,
-                )
-            # csv
+            if self.type != "csv":
+                return GENERATORS[self.type](seed=seed, n=p.pop("n"), **p)
             columns = [
                 CsvColumn(
                     c["name"],
@@ -114,6 +87,7 @@ class StreamSpec:
                 columns,
                 tuple(p.pop("classes")),
                 has_header=p.pop("header", False),
+                **p,
             )
         except KeyError as exc:
             raise ConfigError(
@@ -164,20 +138,7 @@ class ExperimentConfig:
             streams = tuple(StreamSpec.from_dict(s) for s in raw.pop("streams"))
         except KeyError:
             raise ConfigError("config is missing the 'streams' field") from None
-        known = {
-            "algorithms",
-            "tiebreaks",
-            "delta",
-            "grace_period",
-            "leaf_prediction",
-            "numeric_bins",
-            "merit_range",
-            "seeds",
-            "repetitions",
-            "snapshot_every",
-            "workers",
-        }
-        unknown = set(raw) - known
+        unknown = set(raw) - {f.name for f in fields(ExperimentConfig)}
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         for key in ("algorithms", "tiebreaks", "seeds"):
@@ -186,36 +147,19 @@ class ExperimentConfig:
         return ExperimentConfig(streams=streams, **raw)
 
     def tree_config(self, tiebreak: float) -> TreeConfig:
-        return TreeConfig(
-            grace_period=self.grace_period,
-            delta=self.delta,
-            tiebreak=tiebreak,
-            leaf_prediction=self.leaf_prediction,
-            numeric_bins=self.numeric_bins,
-            merit_range=self.merit_range,
-        )
+        """The learners' settings: each TreeConfig field but ``tiebreak`` is
+        the field of this config with the same name."""
+        shared = {f.name: getattr(self, f.name) for f in fields(TreeConfig)
+                  if f.name != "tiebreak"}
+        return TreeConfig(tiebreak=tiebreak, **shared)
 
     def config_hash(self) -> str:
-        canonical = json.dumps(
-            {
-                "streams": [
-                    {"name": s.name, "type": s.type, "params": s.params}
-                    for s in self.streams
-                ],
-                "algorithms": self.algorithms,
-                "tiebreaks": self.tiebreaks,
-                "delta": self.delta,
-                "grace_period": self.grace_period,
-                "leaf_prediction": self.leaf_prediction,
-                "numeric_bins": self.numeric_bins,
-                "merit_range": self.merit_range,
-                "seeds": self.seeds,
-                "repetitions": self.repetitions,
-                "snapshot_every": self.snapshot_every,
-            },
-            sort_keys=True,
-            default=list,
-        )
+        """Digest of every field but ``workers``, which changes no record, so
+        a grid resumes under any worker count.  Existing results.jsonl files
+        resume only while these digits stay the same."""
+        settings = asdict(self)
+        del settings["workers"]
+        canonical = json.dumps(settings, sort_keys=True)
         return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
@@ -241,12 +185,7 @@ def _execute_run(config: ExperimentConfig, spec: StreamSpec, seed: int, schema, 
         "stream_type": spec.type,
         "stream_params": spec.params,
         "algorithm": algorithm,
-        "tiebreak": tiebreak,
-        "delta": config.delta,
-        "grace_period": config.grace_period,
-        "leaf_prediction": config.leaf_prediction,
-        "numeric_bins": config.numeric_bins,
-        "merit_range": config.merit_range,
+        **asdict(learner.config),
         "seed": seed,
         "repetition": repetition,
         "rng": RNG_ALGORITHM,
@@ -524,8 +463,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
-    from dataclasses import replace
-
     if args.seed:
         config = replace(config, seeds=tuple(args.seed))
     if args.streams:

@@ -269,10 +269,14 @@ class HoeffdingTree:
         """Predict from the pre-update leaf, then absorb the instance.
 
         Returns the prediction, which never depends on the instance's label.
+        A label that is not a class index raises ContractViolation first.
         """
         label = instance.label
-        if label is None:
-            raise ContractViolation("training requires a labelled instance")
+        if not isinstance(label, int) or not 0 <= label < self.schema.class_count:
+            raise ContractViolation(
+                f"training needs a class index in [0, {self.schema.class_count}), "
+                f"got label {label!r}"
+            )
         values = instance.values
         leaf, parent, branch = self._sort_path(values)
         prediction = self._predict_leaf(leaf, values)[0]

@@ -239,3 +239,6 @@ class TestSchema:
             schema.validate_instance(Instance((2, 1.5), 2))
         with pytest.raises(ContractViolation):
             schema.validate_instance(Instance((2, math.nan), 0))
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ContractViolation):
+                schema.validate_instance(Instance((bad, 0.5), 0))

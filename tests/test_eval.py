@@ -3,12 +3,7 @@ import random
 import pytest
 
 from streamtree.core import Attribute, ContractViolation, Instance, Schema
-from streamtree.evaluation import (
-    RunningMajority,
-    kappa_m,
-    majority_baseline,
-    prequential_run,
-)
+from streamtree.evaluation import RunningMajority, kappa_m, prequential_run
 from streamtree.streams import LedStream
 from streamtree.tree import HoeffdingTree, TreeConfig
 
@@ -38,27 +33,37 @@ class TestKappaM:
         assert values == sorted(values)
 
 
+def running_majority(labels, n_classes=2):
+    """A RunningMajority fed ``labels``, and its prediction before each one."""
+    majority = RunningMajority(n_classes)
+    predictions = []
+    for label in labels:
+        predictions.append(majority.predict())
+        majority.update(label)
+    return majority, predictions
+
+
 class TestMajorityBaseline:
     def test_balanced_iid_stream_near_half(self):
         rng = random.Random(3)
-        labels = [rng.randrange(2) for _ in range(100_000)]
-        assert majority_baseline(labels, 2) == pytest.approx(0.5, abs=0.02)
+        majority, _ = running_majority([rng.randrange(2) for _ in range(100_000)])
+        assert majority.prequential_rate == pytest.approx(0.5, abs=0.02)
 
     def test_constant_class_zero_benefits_from_tie_rule(self):
-        assert majority_baseline([0] * 50, 2) == 1.0
+        majority, predictions = running_majority([0] * 50)
+        assert predictions == [0] * 50
+        assert majority.prequential_rate == 1.0
 
     def test_constant_class_one_misses_first(self):
-        assert majority_baseline([1] * 50, 2) == pytest.approx(49 / 50)
+        majority, predictions = running_majority([1] * 50)
+        assert predictions == [0] + [1] * 49
+        assert majority.prequential_rate == pytest.approx(49 / 50)
 
     def test_alternating_trace_by_hand(self):
-        # predictions: 0 0 0 0 0 0 against labels 0 1 0 1 0 1 -> 3/6
-        assert majority_baseline([0, 1, 0, 1, 0, 1], 2) == pytest.approx(0.5)
-
-    def test_full_stream_rate(self):
-        majority = RunningMajority(3)
-        for label in (2, 2, 0, 2):
-            majority.update(label)
-        assert majority.full_stream_rate == pytest.approx(0.75)
+        # each 0/1 tie goes back to class 0: 3 of 6 predicted right
+        majority, predictions = running_majority([0, 1, 0, 1, 0, 1])
+        assert predictions == [0] * 6
+        assert majority.prequential_rate == pytest.approx(0.5)
 
 
 def constant_stream(label, n):
@@ -123,10 +128,11 @@ class TestPrequentialRun:
         assert counts == sorted(counts)
         assert result.final.node_count == result.final.leaf_count + len(learner.split_log)
 
-    def test_full_stream_majority_mode(self):
-        learner = HoeffdingTree(SCHEMA)
-        stream = [Instance((0,), lab) for lab in (1, 1, 0, 1)]
-        result = prequential_run(learner, stream, majority_mode="full")
-        # accuracy 2/4 (misses instances 1 and 3), full-stream pm = 3/4
-        assert result.final.accuracy == pytest.approx(0.5)
-        assert result.final.kappa_m == pytest.approx((0.5 - 0.75) / 0.25)
+    def test_kappa_m_against_the_prequential_majority(self):
+        # NB leaves learn the label from the attribute; the running majority
+        # predicts 0 1 1 1 0 1 against labels 1 1 0 0 1 0, so pm = 1/6.
+        learner = HoeffdingTree(SCHEMA, TreeConfig(leaf_prediction="nb"))
+        stream = [Instance((lab,), lab) for lab in (1, 1, 0, 0, 1, 0)]
+        result = prequential_run(learner, stream)
+        assert result.final.accuracy == pytest.approx(4 / 6)
+        assert result.final.kappa_m == pytest.approx(kappa_m(4 / 6, 1 / 6))

@@ -1,4 +1,6 @@
 import json
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +10,7 @@ from streamtree.experiment import (
     PairingError,
     StreamSpec,
     export_curves,
+    load_config,
     load_records,
     main,
     make_learner,
@@ -15,7 +18,11 @@ from streamtree.experiment import (
     run_experiment,
     run_id,
 )
+from streamtree.tree import TreeConfig
 
+BENCHMARK_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "benchmark.json"
+LEARNER_SETTINGS = {"delta": 1e-3, "grace_period": 50, "leaf_prediction": "nb",
+                    "numeric_bins": 7, "merit_range": "log2c"}
 BASE_CONFIG = {
     "streams": [{"name": "led", "type": "led", "noise": 0.1, "n": 400}],
     "algorithms": ["vfdt", "svfdt-i", "svfdt-ii"],
@@ -63,12 +70,33 @@ class TestConfig:
         with pytest.raises(ConfigError, match="'n'"):
             spec.build(seed=1)
 
+    @pytest.mark.parametrize("kind, required", [
+        ("led", {"n": 10}),
+        ("sea", {"n": 10}),
+        ("rbf", {"n": 10}),
+        ("csv", {"path": "data.csv", "columns": [{"name": "x", "kind": "numeric"}],
+                 "classes": ["a", "b"]}),
+    ])
+    def test_stream_unknown_field_named(self, kind, required):
+        spec = StreamSpec.from_dict({"type": kind, "headr": True, **required})
+        with pytest.raises(ConfigError, match="headr"):
+            spec.build(seed=1)
+
     def test_config_hash_stable_and_sensitive(self):
         a = ExperimentConfig.from_dict(BASE_CONFIG)
         b = ExperimentConfig.from_dict(BASE_CONFIG)
         c = ExperimentConfig.from_dict(dict(BASE_CONFIG, tiebreaks=[0.1]))
         assert a.config_hash() == b.config_hash()
         assert a.config_hash() != c.config_hash()
+        # Records in existing results.jsonl files resume only under these digits.
+        assert a.config_hash() == "d37869d3889fd781"
+        assert load_config(BENCHMARK_CONFIG).config_hash() == "5a028fda12d0ffd8"
+        assert ExperimentConfig.from_dict(dict(BASE_CONFIG, workers=2)).config_hash() == (
+            a.config_hash())
+
+    def test_tree_config_carries_the_learner_settings(self):
+        config = ExperimentConfig.from_dict(dict(BASE_CONFIG, **LEARNER_SETTINGS))
+        assert config.tree_config(0.2) == TreeConfig(tiebreak=0.2, **LEARNER_SETTINGS)
 
     def test_unknown_learner_name(self):
         stream = StreamSpec.from_dict(BASE_CONFIG["streams"][0]).build(1)
@@ -91,12 +119,13 @@ class TestRunExperiment:
         assert (tmp_path / "out" / "summary.csv").exists()
 
     def test_metadata_reproduces_run(self, tmp_path):
-        config = ExperimentConfig.from_dict(BASE_CONFIG)
+        config = ExperimentConfig.from_dict(dict(BASE_CONFIG, **LEARNER_SETTINGS))
         run_experiment(config, tmp_path / "out")
         rec = load_records(tmp_path / "out" / "results.jsonl")[0]
-        for field in ("config_hash", "seed", "stream_params", "tiebreak", "delta",
-                      "grace_period", "rng", "merit_range"):
+        for field in ("config_hash", "seed", "stream_params", "rng"):
             assert field in rec
+        settings = {f.name: rec[f.name] for f in fields(TreeConfig)}
+        assert settings == dict(LEARNER_SETTINGS, tiebreak=config.tiebreaks[0])
 
     def test_rerun_is_deterministic_outside_time_fields(self, tmp_path):
         config = ExperimentConfig.from_dict(BASE_CONFIG)

@@ -186,6 +186,18 @@ class TestTraining:
         with pytest.raises(ContractViolation):
             tree.train_one(Instance((0, 0), None))
 
+    @pytest.mark.parametrize("bad", [-1, 3, 1.5])
+    def test_label_outside_the_classes_rejected_before_learning(self, bad):
+        schema = Schema((Attribute.nominal("a", 3), Attribute.numeric("x")), 3)
+        tree = HoeffdingTree(schema)
+        for label in (0, 1, 2):
+            tree.train_one(Instance((label, 0.5), label))
+        with pytest.raises(ContractViolation, match=r"class index in \[0, 3\)"):
+            tree.train_one(Instance((1, 0.5), bad))
+        assert tree.instances_trained == 3
+        assert tree.root.dist.weights == [1.0, 1.0, 1.0]
+        assert tree.split_log == []
+
     @pytest.mark.parametrize("bad", [1.7, -0.5, math.nan, math.inf])
     @pytest.mark.parametrize("mode", ["mc", "nb"])
     def test_nominal_value_that_is_no_whole_number_rejected(self, bad, mode):
