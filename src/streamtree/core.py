@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 
 class ContractViolation(ValueError):
@@ -74,33 +75,55 @@ class Schema:
             )
         elif len(self.class_names) != self.class_count:
             raise ConfigError("class_names length must equal class_count")
+        # (admitted values, getter) per nominal arity: membership admits 2.0 and
+        # rejects 1.5, -1, nan and inf.  A repeated index keeps a getter's result
+        # a tuple; a group of every attribute takes the values as they are.
+        groups: dict[int, list[int]] = {}
+        for a, t in enumerate(self.attributes):
+            if t.is_nominal:
+                groups.setdefault(t.arity, []).append(a)
+        object.__setattr__(self, "_nominal", tuple(
+            (frozenset(range(k)), tuple if len(idx) == len(names) else itemgetter(*idx, idx[0]))
+            for k, idx in groups.items()
+        ))
 
     @property
     def n_attributes(self) -> int:
         return len(self.attributes)
 
-    def validate_instance(self, instance: "Instance") -> None:
-        """Raise ContractViolation unless the instance conforms to this schema."""
-        if len(instance.values) != len(self.attributes):
+    def __reduce__(self):  # pickles carry the fields, not ``_nominal``
+        return (Schema, (self.attributes, self.class_count, self.class_names))
+
+    def check_values(self, values) -> None:
+        """Admit one value per attribute, each nominal one a whole number in [0, arity)."""
+        if len(values) != len(self.attributes):
             raise ContractViolation(
-                f"instance has {len(instance.values)} values, schema expects "
-                f"{len(self.attributes)}"
+                f"instance has {len(values)} values, schema expects {len(self.attributes)}"
             )
-        for attr, value in zip(self.attributes, instance.values):
-            if attr.is_nominal:
-                if not 0 <= value < attr.arity or int(value) != value:
-                    raise ContractViolation(
-                        f"value {value!r} out of range for nominal attribute "
-                        f"{attr.name!r} (arity {attr.arity})"
-                    )
-            elif not math.isfinite(value):
+        for allowed, getter in self._nominal:
+            if not allowed.issuperset(getter(values)):
+                a = next(a for a, t in enumerate(self.attributes)
+                         if t.arity == len(allowed) and values[a] not in allowed)
                 raise ContractViolation(
-                    f"non-finite value for numeric attribute {attr.name!r}"
+                    f"nominal value {values[a]!r} out of range [0, {len(allowed)}) "
+                    f"for attribute {self.attributes[a].name!r}"
                 )
-        if instance.label is not None and not 0 <= instance.label < self.class_count:
+
+    def check_label(self, label) -> None:
+        """Raise ContractViolation unless ``label`` is an int class index."""
+        if not isinstance(label, int) or not 0 <= label < self.class_count:
             raise ContractViolation(
-                f"label {instance.label} out of range for {self.class_count} classes"
+                f"label must be a class index in [0, {self.class_count}), got {label!r}"
             )
+
+    def validate_instance(self, instance: "Instance") -> None:
+        """``check_values``, finite numeric values and ``check_label`` unless unlabelled."""
+        self.check_values(instance.values)
+        for attr, value in zip(self.attributes, instance.values):
+            if not attr.is_nominal and not math.isfinite(value):
+                raise ContractViolation(f"non-finite value for numeric attribute {attr.name!r}")
+        if instance.label is not None:
+            self.check_label(instance.label)
 
 
 @dataclass(slots=True)

@@ -341,13 +341,14 @@ class PairingError(ValueError):
     """Baseline and candidate result sets do not cover the same runs."""
 
 
-def relative_metrics(records: list[dict], baseline: str = "vfdt") -> list[dict]:
-    """Candidate/baseline ratio table in the style of a per-tiebreak summary.
+def relative_metrics(records: list[dict]) -> list[dict]:
+    """Candidate/VFDT ratio table in the style of a per-tiebreak summary.
 
     Ratios are computed per (stream, seed, repetition) pair and averaged
     over all of them for each (algorithm, tiebreak).  A baseline value of
     zero yields a None ratio (excluded from the mean).
     """
+    baseline = "vfdt"
     by_key: dict[tuple, dict] = {}
     for rec in records:
         key = (rec["algorithm"], rec["stream"], rec["tiebreak"], rec["seed"],
@@ -451,9 +452,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--workers", type=int, default=None,
                        help="worker processes (default: the config's workers)")
 
-    rel_p = sub.add_parser("relative", help="candidate/baseline ratio table")
+    rel_p = sub.add_parser("relative", help="candidate/VFDT ratio table")
     rel_p.add_argument("--results", required=True, help="path to results.jsonl")
-    rel_p.add_argument("--baseline", default="vfdt")
     rel_p.add_argument("--output", default=None, help="CSV output path (default: stdout)")
 
     cur_p = sub.add_parser("curves", help="export per-run accuracy/size curves")

@@ -39,10 +39,6 @@ class SplitCandidate:
     def is_nominal(self) -> bool:
         return self.threshold is None
 
-    @property
-    def n_branches(self) -> int:
-        return len(self.post_split)
-
 
 class NominalObserver:
     """Exact per-class, per-value counts for one nominal attribute."""
@@ -55,9 +51,7 @@ class NominalObserver:
         self.counts = [[0.0] * arity for _ in range(n_classes)]
 
     def observe(self, value, class_index: int, weight: float = 1.0) -> None:
-        if not 0 <= value < self.arity or (v := int(value)) != value:
-            raise _out_of_range(value, self.arity)
-        self.counts[class_index][v] += weight
+        self.counts[class_index][int(value)] += weight
 
     def best_split(self, pre_dist: ClassDistribution) -> SplitCandidate | None:
         """Single multiway candidate with exact information gain, if any data seen."""
@@ -215,18 +209,15 @@ def naive_bayes_scores(observers, values, priors, prior_total: float, class_coun
     (to the last bit when the weights are whole numbers, as in prequential
     runs).  Each class's product runs over the attributes in leaf order, so
     a score has the bits of multiplying the observers' ``nb_likelihood``
-    values in turn.  Classes without prior weight score 0.  Raises
-    ContractViolation for a nominal value that is not an integer in [0, arity).
+    values in turn.  Classes without prior weight score 0.  The nominal
+    values must be ones ``Schema.check_values`` admits.
     """
     # Per-instance work, once per attribute.  A nominal entry is
     # (index, counts, arity, None), a numeric one (value, None, None, observer).
     hoisted = []
     for a, obs in observers:
         if type(obs) is NominalObserver:
-            value = values[a]
-            if not 0 <= value < obs.arity or (v := int(value)) != value:
-                raise _out_of_range(value, obs.arity)
-            hoisted.append((v, obs.counts, obs.arity, None))
+            hoisted.append((int(values[a]), obs.counts, obs.arity, None))
         else:
             hoisted.append((values[a], None, None, obs))
     scores = []
@@ -245,10 +236,6 @@ def naive_bayes_scores(observers, values, priors, prior_total: float, class_coun
                     break
         scores.append(s)
     return scores
-
-
-def _out_of_range(value, arity: int) -> ContractViolation:
-    return ContractViolation(f"nominal value {value!r} out of range [0, {arity})")
 
 
 def _column_entropies(matrix: np.ndarray) -> np.ndarray:

@@ -71,10 +71,6 @@ class GrowthStatistics:
         self.ig_stats = RunningStat()
         self.n_stats = RunningStat()
 
-    @property
-    def satisfy_count(self) -> int:
-        return self.h_stats.count
-
     def record_satisfy(self, leaf_entropy: float, best_gain: float, leaf_weight: float) -> None:
         self.h_stats.push(leaf_entropy)
         self.ig_stats.push(best_gain)

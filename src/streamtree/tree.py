@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from .core import (
     ClassDistribution,
     ConfigError,
-    ContractViolation,
     Instance,
     Schema,
     hoeffding_bound,
@@ -24,7 +23,6 @@ from .core import (
 from .observers import (
     GaussianNumericObserver,
     SplitCandidate,
-    _out_of_range,
     make_observer,
     naive_bayes_scores,
     numeric_best_splits,
@@ -134,12 +132,9 @@ class SplitNode:
         self.children = children
 
     def branch_for(self, values) -> int:
-        """Child index for ``values``; a nominal value must be an integer in [0, arity)."""
+        """Child index for ``values``, which ``Schema.check_values`` has admitted."""
         if self.threshold is None:
-            value = values[self.attribute]
-            if not 0 <= value < len(self.children) or (v := int(value)) != value:
-                raise _out_of_range(value, len(self.children))
-            return v
+            return int(values[self.attribute])
         return 0 if values[self.attribute] <= self.threshold else 1
 
     def __repr__(self) -> str:
@@ -206,6 +201,8 @@ class HoeffdingTree:
         return node, parent, branch
 
     def sort_to_leaf(self, instance: Instance) -> LeafNode:
+        """Raises ContractViolation for values the schema does not admit."""
+        self.schema.check_values(instance.values)
         return self._sort_path(instance.values)[0]
 
     def tree_size(self) -> tuple[int, int, int]:
@@ -234,10 +231,7 @@ class HoeffdingTree:
     # -- prediction ----------------------------------------------------
 
     def predict(self, instance: Instance) -> tuple[int, list[float]]:
-        """Raises ContractViolation unless each nominal value is an integer in [0, arity)."""
-        for attr, value in zip(self.schema.attributes, instance.values):
-            if attr.is_nominal and (not 0 <= value < attr.arity or int(value) != value):
-                raise _out_of_range(value, attr.arity)
+        """Raises ContractViolation for values the schema does not admit."""
         leaf = self.sort_to_leaf(instance)
         return self._predict_leaf(leaf, instance.values)
 
@@ -269,15 +263,13 @@ class HoeffdingTree:
         """Predict from the pre-update leaf, then absorb the instance.
 
         Returns the prediction, which never depends on the instance's label.
-        A label that is not a class index raises ContractViolation first.
+        An instance the schema does not admit raises ContractViolation before
+        the tree changes.
         """
         label = instance.label
-        if not isinstance(label, int) or not 0 <= label < self.schema.class_count:
-            raise ContractViolation(
-                f"training needs a class index in [0, {self.schema.class_count}), "
-                f"got label {label!r}"
-            )
         values = instance.values
+        self.schema.check_label(label)
+        self.schema.check_values(values)
         leaf, parent, branch = self._sort_path(values)
         prediction = self._predict_leaf(leaf, values)[0]
         leaf.learn(values, label, weight)

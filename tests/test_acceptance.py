@@ -257,7 +257,7 @@ class TestCriterion08SnapshotOrderRegression:
         )
         report(
             "8",
-            ours is False and wrong_order is True and stats.satisfy_count == 2,
+            ours is False and wrong_order is True and stats.h_stats.count == 2,
             "crafted trace: snapshot-first refuses, update-first would split "
             f"(ours={ours}, wrong-order={wrong_order})",
         )

@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 
 import pytest
@@ -242,3 +243,38 @@ class TestSchema:
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ContractViolation):
                 schema.validate_instance(Instance((bad, 0.5), 0))
+        schema.validate_instance(Instance((2.0, 1.5)))
+
+    @pytest.mark.parametrize("bad", [3, -1, 1.5, -0.5, 2.999, math.nan, math.inf, -math.inf])
+    def test_nominal_value_outside_its_range_rejected(self, bad):
+        schema = self.make()
+        schema.check_values((2.0, 0.5))
+        message = r"out of range \[0, 3\) for attribute 'color'"
+        with pytest.raises(ContractViolation, match=message):
+            schema.check_values((bad, 0.5))
+        with pytest.raises(ContractViolation, match="out of range"):
+            schema.validate_instance(Instance((bad, 0.5), 0))
+
+    @pytest.mark.parametrize("values", [(), (2,), (2, 0.5, 1)])
+    def test_wrong_number_of_values_rejected(self, values):
+        with pytest.raises(ContractViolation, match="schema expects 2"):
+            self.make().check_values(values)
+
+    @pytest.mark.parametrize("bad", [-1, 2, 1.5, None, "1"])
+    def test_one_label_rule(self, bad):
+        schema = self.make()
+        schema.check_label(1)
+        with pytest.raises(ContractViolation, match=r"class index in \[0, 2\)"):
+            schema.check_label(bad)
+        if bad is not None:
+            with pytest.raises(ContractViolation, match=r"class index in \[0, 2\)"):
+                schema.validate_instance(Instance((2, 0.5), bad))
+
+    def test_pickle_carries_only_the_fields(self):
+        schema = self.make()
+        data = pickle.dumps(schema)
+        assert b"_nominal" not in data
+        copy = pickle.loads(data)
+        assert copy == schema
+        with pytest.raises(ContractViolation):
+            copy.check_values((3, 0.5))

@@ -13,7 +13,6 @@ import random
 import pytest
 
 from streamtree.core import Attribute, ContractViolation, Instance, Schema
-from streamtree.observers import naive_bayes_scores
 from streamtree.streams import LedStream, RbfStream, SeaStream
 from streamtree.svfdt import StrictHoeffdingTree
 from streamtree.tree import HoeffdingTree, TreeConfig
@@ -119,12 +118,10 @@ def test_out_of_range_nominal_value_rejected(schema, good):
 
 @pytest.mark.parametrize("bad", [1.5, -0.5, 2.999, math.nan, math.inf])
 def test_value_that_is_no_whole_number_rejected(bad):
-    leaf = HoeffdingTree(MIXED, CONFIG).root
+    # The schema rejects the value before the kernel, which reads int(value).
+    tree = HoeffdingTree(MIXED, CONFIG)
     for inst in mixed_stream(20, seed=1):
-        leaf.learn(inst.values, inst.label)
-    dist = leaf.dist
-    naive_bayes_scores(leaf.observers, (2.0, 1.0, 0, 0.5), dist.weights, dist.total,
-                       leaf.observed.weights)
+        tree.root.learn(inst.values, inst.label)
+    assert tree.predict(Instance((2.0, 1.0, 0, 0.5))) == tree.predict(Instance((2, 1.0, 0, 0.5)))
     with pytest.raises(ContractViolation, match=r"out of range \[0, 3\)"):
-        naive_bayes_scores(leaf.observers, (bad, 1.0, 0, 0.5), dist.weights, dist.total,
-                           leaf.observed.weights)
+        tree.predict(Instance((bad, 1.0, 0, 0.5)))

@@ -4,14 +4,16 @@ import copy
 import io
 import json
 import math
+import pickle
 import random
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamtree.core import Attribute, ClassDistribution, Instance, Schema
+from streamtree.core import Attribute, ClassDistribution, ContractViolation, Instance, Schema
 from streamtree.experiment import ExperimentConfig, main, make_learner, run_experiment
 from streamtree.streams import LedStream, RbfStream, SeaStream
 from streamtree.svfdt import leaf_entropy_stats
@@ -103,6 +105,70 @@ def test_splits_conserve_the_leaf_weight(kind, seed, n, algorithm, mode):
                 assert handed_down == weight
             else:
                 assert abs(handed_down - weight) <= 1e-9 * weight
+
+
+@st.composite
+def mixed_schemas(draw):
+    """One to five attributes, at least one nominal, over two or three classes."""
+    arities = draw(st.lists(st.sampled_from([None, 2, 3, 4]), min_size=0, max_size=4))
+    arities.insert(draw(st.integers(0, len(arities))), draw(st.integers(2, 4)))
+    attributes = tuple(
+        Attribute.numeric(f"x{i}") if arity is None else Attribute.nominal(f"a{i}", arity)
+        for i, arity in enumerate(arities)
+    )
+    return Schema(attributes, draw(st.integers(2, 3)))
+
+
+def valid_instance(schema, rng, informative):
+    """Attributes in ``informative`` follow the label; two tied ones refuse splits
+    at tiebreak 0, so the leaves deactivate the noise attributes."""
+    label = rng.randrange(schema.class_count)
+    values = tuple(
+        (label % a.arity if i in informative else rng.randrange(a.arity)) if a.is_nominal
+        else (label if i in informative else 0.0) + rng.gauss(0.0, 1.0)
+        for i, a in enumerate(schema.attributes)
+    )
+    return Instance(values, label)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    schema=mixed_schemas(),
+    seed=st.integers(1, 10_000),
+    prefix=st.integers(0, 600),
+    algorithm=st.sampled_from(["vfdt", "svfdt-i", "svfdt-ii"]),
+    mode=st.sampled_from(["mc", "nb"]),
+    fault=st.sampled_from(["value", "deactivated", "length", "label"]),
+    data=st.data(),
+)
+def test_rejected_instance_leaves_the_tree_unchanged(schema, seed, prefix, algorithm, mode,
+                                                     fault, data):
+    learner = make_learner(algorithm, schema,
+                           TreeConfig(grace_period=20, tiebreak=0.0, leaf_prediction=mode))
+    informative = data.draw(st.sets(st.integers(0, schema.n_attributes - 1)))
+    rng = random.Random(seed)
+    for _ in range(prefix):
+        learner.train_one(valid_instance(schema, rng, informative))
+    values, label = valid_instance(schema, rng, informative).values, 0
+    nominal = [a for a, attr in enumerate(schema.attributes) if attr.is_nominal]
+    if fault == "deactivated":
+        # Prefer an attribute the instance's leaf has deactivated, if any.
+        leaf = learner.sort_to_leaf(Instance(values))
+        dropped = set(leaf.available) - {a for a, _ in leaf.observers}
+        nominal = [a for a in nominal if a in dropped] or nominal
+    if fault in ("value", "deactivated"):
+        a = data.draw(st.sampled_from(nominal))
+        arity = schema.attributes[a].arity
+        bad = data.draw(st.sampled_from([-1, arity, 0.5, arity - 0.5, math.nan, math.inf]))
+        values = values[:a] + (bad,) + values[a + 1:]
+    elif fault == "length":
+        values = data.draw(st.sampled_from([values[:-1], values + (0,)]))
+    else:
+        label = data.draw(st.sampled_from([-1, schema.class_count, 1.5]))
+    before = pickle.dumps(learner)
+    with pytest.raises(ContractViolation):
+        learner.train_one(Instance(values, label))
+    assert pickle.dumps(learner) == before
 
 
 CSV_COLUMNS = [{"name": "x", "kind": "numeric"},

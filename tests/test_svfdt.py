@@ -137,14 +137,14 @@ class TestCanSplit:
             leaf = make_leaf(0, 0.9, 250)
             stats = primed_stats()
             assert can_split([0.5, 0.1], 0.01, 0.0, leaf, [leaf], stats, variant)
-            assert stats.satisfy_count == 1
+            assert stats.h_stats.count == 1
 
     def test_failed_vfdt_condition_short_circuits(self):
         leaf = make_leaf(0, 0.9, 250)
         stats = primed_stats()
         # gap 0.02 <= epsilon 0.3 and epsilon >= tiebreak: no satisfy event
         assert not can_split([0.52, 0.5], 0.3, 0.05, leaf, [leaf], stats, 1)
-        assert stats.satisfy_count == 0
+        assert stats.h_stats.count == 0
 
     def test_low_entropy_leaf_refused_against_history(self):
         # History: H {0.9, 0.8, 1.0} -> mean 0.9, sigma 0.1; IG {0.5, 0.4, 0.6}
@@ -153,7 +153,7 @@ class TestCanSplit:
         stats = primed_stats(hs=(0.9, 0.8, 1.0), igs=(0.5, 0.4, 0.6), ns=(300, 300, 300))
         # entropy gate: 0.2 < 0.9 - 0.1, everything else passes
         assert not can_split([0.45, 0.0], 1e-6, 0.0, leaf, [leaf], stats, 1)
-        assert stats.satisfy_count == 4  # refusal still recorded the attempt
+        assert stats.h_stats.count == 4  # refusal still recorded the attempt
 
     def test_all_four_gates_pass(self):
         leaf = make_leaf(0, 0.85, 300)
@@ -182,7 +182,7 @@ class TestCanSplit:
 
         # Snapshot-first: entropy gate 0.469 >= 1.0 - 0 is false -> refuse.
         assert result is False
-        assert stats.satisfy_count == 2  # the attempt itself was recorded
+        assert stats.h_stats.count == 2  # the attempt itself was recorded
 
         # Update-first would have passed every gate; spell it out.
         h_mean, h_std = statistics.fmean([1.0, h_leaf]), statistics.stdev([1.0, h_leaf])
@@ -263,7 +263,7 @@ class TestStrictTree:
             tree.train_one(inst)
         growth = tree.growth
         assert growth.h_stats.count == growth.ig_stats.count == growth.n_stats.count
-        assert growth.satisfy_count >= len(tree.split_log)
+        assert growth.h_stats.count >= len(tree.split_log)
 
     @pytest.mark.parametrize("make_stream", [
         lambda: LedStream(noise=0.10, seed=5, n=40000),

@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 
 import pytest
@@ -201,8 +202,7 @@ class TestTraining:
     @pytest.mark.parametrize("bad", [1.7, -0.5, math.nan, math.inf])
     @pytest.mark.parametrize("mode", ["mc", "nb"])
     def test_nominal_value_that_is_no_whole_number_rejected(self, bad, mode):
-        # The first instance meets an empty leaf, so the observer must check;
-        # later ones meet the NB kernel first in "nb" mode.
+        # Rejected both at an empty leaf and at one that has learned.
         schema = Schema((Attribute.nominal("a", 3), Attribute.numeric("x")), 2)
         tree = HoeffdingTree(schema, TreeConfig(leaf_prediction=mode))
         with pytest.raises(ContractViolation, match=r"out of range \[0, 3\)"):
@@ -212,6 +212,37 @@ class TestTraining:
             tree.train_one(Instance((label, 0.5), label))
         with pytest.raises(ContractViolation, match=r"out of range \[0, 3\)"):
             tree.train_one(Instance((bad, 0.5), 0))
+
+    def test_rejected_instance_leaves_the_tree_unchanged(self):
+        schema = Schema((Attribute.numeric("x"), Attribute.nominal("a", 3)), 2)
+        tree = HoeffdingTree(schema)
+        for inst in (Instance((0.1, 0), 0), Instance((0.3, 1), 1), Instance((0.5, 2), 0)):
+            tree.train_one(inst)
+        before = pickle.dumps(tree)
+        for bad in ((0.7, 5), (0.5,), (0.5, 1, 0)):
+            with pytest.raises(ContractViolation):
+                tree.train_one(Instance(bad, 1))
+        assert pickle.dumps(tree) == before
+        assert tree.root.dist.weights == [2.0, 1.0] and tree.root.weight_seen == 3.0
+
+    @pytest.mark.parametrize("mode", ["mc", "nb"])
+    def test_value_of_a_deactivated_attribute_still_checked(self, mode):
+        # a and b copy the label, so their merits tie and every check is
+        # refused at tiebreak 0; noise attribute c trails and is dropped.
+        schema = Schema(
+            (Attribute.nominal("a", 2), Attribute.nominal("b", 2), Attribute.nominal("c", 3)), 2
+        )
+        tree = HoeffdingTree(schema, TreeConfig(grace_period=50, tiebreak=0.0,
+                                                leaf_prediction=mode))
+        rng = random.Random(2)
+        for _ in range(400):
+            label = rng.randrange(2)
+            tree.train_one(Instance((label, label, rng.randrange(3)), label))
+        assert [a for a, _ in tree.root.observers] == [0, 1]
+        before = pickle.dumps(tree)
+        with pytest.raises(ContractViolation, match=r"7 out of range \[0, 3\) for attribute 'c'"):
+            tree.train_one(Instance((0, 0, 7), 0))
+        assert pickle.dumps(tree) == before
 
     def test_children_inherit_post_split_state(self):
         tree = HoeffdingTree(TWO_NOMINAL, TreeConfig(grace_period=200))
