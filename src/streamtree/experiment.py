@@ -510,10 +510,7 @@ def main(argv=None) -> int:
     except (ConfigError, PairingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:  # malformed data files (csv/json parse problems)
+    except (OSError, ValueError) as exc:  # ValueError: malformed csv/json data files
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

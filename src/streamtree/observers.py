@@ -1,20 +1,22 @@
 """Per-leaf attribute statistics and split-candidate enumeration.
 
-Nominal attributes keep exact per-value class counts; numeric attributes
-keep one running Gaussian per class (one-pass mean/variance) plus the
-global observed range, and candidate thresholds are scored through the
-class-conditional normal CDF.
+A leaf keeps the exact per-value class counts of all its nominal
+attributes in one array block; each numeric attribute keeps one running
+Gaussian per class (one-pass mean/variance) plus the global observed
+range, and candidate thresholds are scored through the class-conditional
+normal CDF.
 """
 from __future__ import annotations
 
 import math
-from math import exp, sqrt
 from dataclasses import dataclass, field
+from itertools import accumulate
+from math import exp, sqrt
 
 import numpy as np
 from scipy.special import ndtr, xlogy
 
-from .core import Attribute, ClassDistribution, ContractViolation, entropy
+from .core import ClassDistribution, ContractViolation, entropy
 
 # Point-mass window for zero-variance Gaussians when used as NB densities.
 _POINT_MASS_TOL = 1e-9
@@ -41,47 +43,83 @@ class SplitCandidate:
 
 
 class NominalObserver:
-    """Exact per-class, per-value counts for one nominal attribute."""
+    """Laplace-smoothed class counts of every active nominal attribute of one leaf.
 
-    __slots__ = ("attribute", "arity", "counts")
+    ``num`` has one row per (attribute, value), in attribute order, and holds
+    count + 1 per class: the Laplace numerator.  ``den`` has one row per
+    distinct arity k, ascending, and holds n_c + k: every attribute sees
+    every instance the leaf learns, so attributes of one arity share it.
+    Both hold whole numbers; ``learn`` updates them through flat
+    memoryviews.  A pickle carries the arrays; the other fields derive.
+    """
 
-    def __init__(self, attribute: int, n_classes: int, arity: int):
-        self.attribute = attribute
-        self.arity = arity
-        self.counts = [[0.0] * arity for _ in range(n_classes)]
+    __slots__ = ("attributes", "arities", "n_classes", "num", "den",
+                 "_counts", "_denominators", "_plan", "_den_offsets", "_den_rows")
 
-    def observe(self, value, class_index: int, weight: float = 1.0) -> None:
-        self.counts[class_index][int(value)] += weight
+    def __init__(self, attributes, arities, n_classes: int, num=None, den=None):
+        self.attributes, self.arities, self.n_classes = tuple(attributes), tuple(arities), n_classes
+        sizes = sorted(set(self.arities))
+        if num is None:
+            num = np.ones((sum(self.arities), n_classes))
+            den = np.repeat(np.array(sizes, dtype=float)[:, None], n_classes, axis=1)
+        self.num, self.den = num, den
+        # cast() refuses an array that is not C-contiguous, so these are views.
+        self._counts = memoryview(num).cast("B").cast("d")
+        self._denominators = memoryview(den).cast("B").cast("d")
+        # (attribute, first row) pairs: value v of the attribute is row first + v.
+        self._plan = list(zip(self.attributes, accumulate(self.arities[:-1], initial=0)))
+        self._den_offsets = range(0, den.size, n_classes)
+        self._den_rows = slice(None) if len(sizes) == 1 else np.searchsorted(sizes, self.arities)
 
-    def best_split(self, pre_dist: ClassDistribution) -> SplitCandidate | None:
-        """Single multiway candidate with exact information gain, if any data seen."""
-        counts = self.counts
-        branch_totals = [0.0] * self.arity
-        seen = 0.0
-        for row in counts:
-            for v, w in enumerate(row):
-                branch_totals[v] += w
-                seen += w
-        if seen <= 0.0:
-            return None
+    def __reduce__(self):
+        return NominalObserver, (self.attributes, self.arities, self.n_classes, self.num, self.den)
+
+    def learn(self, values, class_index: int) -> None:
+        counts, k = self._counts, self.n_classes
+        for a, row in self._plan:
+            try:
+                counts[(row + values[a]) * k + class_index] += 1.0
+            except TypeError:  # a whole float such as 2.0 indexes no memoryview
+                counts[(row + int(values[a])) * k + class_index] += 1.0
+        for offset in self._den_offsets:
+            self._denominators[offset + class_index] += 1.0
+
+    def likelihoods(self, values, out: np.ndarray) -> None:
+        """Write each attribute's P(value | class) row into ``out``, in order."""
+        # take() accepts a whole float such as 2.0 as a row index.
+        self.num.take([row + values[a] for a, row in self._plan], axis=0, out=out, mode="clip")
+        np.divide(out, self.den[self._den_rows], out=out)
+
+    def best_split(self, pre_dist: ClassDistribution) -> list[SplitCandidate]:
+        """One multiway candidate per attribute with its exact information gain,
+        none before any observation; ``pre_dist`` is what the leaf observed."""
         n = pre_dist.total
-        gain = entropy(pre_dist)
-        post = []
-        for v in range(self.arity):
-            branch = ClassDistribution.from_weights([row[v] for row in counts])
-            post.append(branch)
-            if branch.total > 0.0:
-                gain -= (branch.total / n) * entropy(branch)
-        return SplitCandidate(self.attribute, None, gain, post)
+        if n <= 0.0:
+            return []
+        h = entropy(pre_dist)
+        counts = (self.num - 1.0).tolist()
+        candidates = []
+        for (a, row), arity in zip(self._plan, self.arities):
+            post = [ClassDistribution.from_weights(w) for w in counts[row:row + arity]]
+            gain = h
+            for branch in post:
+                if branch.total > 0.0:
+                    gain -= (branch.total / n) * entropy(branch)
+            candidates.append(SplitCandidate(a, None, gain, post))
+        return candidates
 
-    def nb_likelihood(self, value, class_index: int) -> float:
-        """Laplace-smoothed P(value | class) from the observed counts.
-
-        The reference for ``naive_bayes_scores``, which takes the class
-        total from the leaf instead of summing the row.
-        """
-        row = self.counts[class_index]
-        return (row[int(value)] + 1.0) / (sum(row) + self.arity)
+    def without(self, attribute: int) -> NominalObserver | None:
+        """The block minus ``attribute``'s rows, or None when none is left."""
+        i = self.attributes.index(attribute)
+        (_, row), arity = self._plan[i], self.arities[i]
+        arities = self.arities[:i] + self.arities[i + 1:]
+        if not arities:
+            return None
+        num = np.concatenate((self.num[:row], self.num[row + arity:]))
+        den = self.den if arity in arities else np.delete(
+            self.den, sorted(set(self.arities)).index(arity), axis=0)
+        attributes = self.attributes[:i] + self.attributes[i + 1:]
+        return NominalObserver(attributes, arities, self.n_classes, num, den)
 
 
 class GaussianNumericObserver:
@@ -198,46 +236,6 @@ def numeric_best_splits(observers, pre_dist: ClassDistribution) -> list[SplitCan
     return results
 
 
-def naive_bayes_scores(observers, values, priors, prior_total: float, class_counts) -> list[float]:
-    """Unnormalised naive-Bayes scores P(c) * prod_a P(x_a | c) of one leaf.
-
-    ``observers`` is the leaf's (attribute, observer) list, ``priors`` and
-    ``prior_total`` its class weights, and ``class_counts`` the per-class
-    weight its observers have seen.  A nominal Laplace denominator is
-    n_c + arity with n_c from ``class_counts``: that is the count row's sum,
-    because every observer of a leaf sees every instance the leaf learns
-    (to the last bit when the weights are whole numbers, as in prequential
-    runs).  Each class's product runs over the attributes in leaf order, so
-    a score has the bits of multiplying the observers' ``nb_likelihood``
-    values in turn.  Classes without prior weight score 0.  The nominal
-    values must be ones ``Schema.check_values`` admits.
-    """
-    # Per-instance work, once per attribute.  A nominal entry is
-    # (index, counts, arity, None), a numeric one (value, None, None, observer).
-    hoisted = []
-    for a, obs in observers:
-        if type(obs) is NominalObserver:
-            hoisted.append((int(values[a]), obs.counts, obs.arity, None))
-        else:
-            hoisted.append((values[a], None, None, obs))
-    scores = []
-    for c, prior in enumerate(priors):
-        if prior <= 0.0:
-            scores.append(0.0)
-            continue
-        n_c = class_counts[c]
-        s = prior / prior_total
-        for v, counts, arity, numeric in hoisted:
-            if numeric is None:
-                s *= (counts[c][v] + 1.0) / (n_c + arity)
-            else:
-                s *= numeric.nb_likelihood(v, c)
-                if s == 0.0:  # a missed point mass; finite factors keep it 0
-                    break
-        scores.append(s)
-    return scores
-
-
 def _column_entropies(matrix: np.ndarray) -> np.ndarray:
     """Entropy in bits of each column of a weight array whose first axis is the class."""
     totals = matrix.sum(axis=0)
@@ -246,8 +244,3 @@ def _column_entropies(matrix: np.ndarray) -> np.ndarray:
     h = -xlogy(p, p).sum(axis=0) / math.log(2.0)
     return np.where(totals > 0.0, h, 0.0)
 
-
-def make_observer(attribute_index: int, attribute: Attribute, n_classes: int, bins: int):
-    if attribute.is_nominal:
-        return NominalObserver(attribute_index, n_classes, attribute.arity)
-    return GaussianNumericObserver(attribute_index, n_classes, bins)

@@ -13,20 +13,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import (
-    ClassDistribution,
-    ConfigError,
-    Instance,
-    Schema,
-    hoeffding_bound,
-)
-from .observers import (
-    GaussianNumericObserver,
-    SplitCandidate,
-    make_observer,
-    naive_bayes_scores,
-    numeric_best_splits,
-)
+import numpy as np
+
+from .core import ClassDistribution, ConfigError, Instance, Schema, hoeffding_bound
+from .observers import GaussianNumericObserver, NominalObserver, SplitCandidate, numeric_best_splits
 
 LEAF_PREDICTION_MODES = ("mc", "nb")
 MERIT_RANGE_MODES = ("unit", "log2c")
@@ -76,46 +66,53 @@ class LeafNode:
     ``dist`` includes the weight inherited from the parent's post-split
     estimate; ``observed`` counts only instances this leaf has actually
     seen, which is exactly the population the observers describe.
-    ``observers`` is the one list of (attribute, observer) pairs, in
-    attribute order; deactivating an attribute drops its pair.
+    ``observers`` lists the (attribute, observer) pairs of the active
+    numeric attributes in attribute order; ``nominal`` holds the counts of
+    every active nominal attribute, or None when there is none.
+    Deactivating an attribute drops its pair or its rows.
     """
 
-    __slots__ = (
-        "leaf_id",
-        "dist",
-        "observed",
-        "observers",
-        "available",
-        "weight_seen",
-        "last_check_weight",
-    )
+    # ``nominal`` comes last, which ``__getstate__`` relies on.
+    __slots__ = ("leaf_id", "dist", "observed", "observers", "available", "weight_seen",
+                 "last_check_weight", "nominal")
 
-    def __init__(
-        self,
-        leaf_id: int,
-        schema: Schema,
-        available: tuple[int, ...],
-        bins: int,
-        initial_dist: ClassDistribution | None = None,
-    ):
+    def __init__(self, leaf_id: int, schema: Schema, available: tuple[int, ...], bins: int,
+                 initial_dist: ClassDistribution | None = None):
         self.leaf_id = leaf_id
         k = schema.class_count
         self.dist = initial_dist.copy() if initial_dist is not None else ClassDistribution(k)
         self.observed = ClassDistribution(k)
         self.available = available
-        self.observers = [(a, make_observer(a, schema.attributes[a], k, bins)) for a in available]
+        self.observers = [(a, GaussianNumericObserver(a, k, bins))
+                          for a in available if not schema.attributes[a].is_nominal]
+        nominal = [a for a in available if schema.attributes[a].is_nominal]
+        arities = [schema.attributes[a].arity for a in nominal]
+        self.nominal = NominalObserver(nominal, arities, k) if nominal else None
         self.weight_seen = self.dist.total
         self.last_check_weight = self.weight_seen
 
-    def learn(self, values, label: int, weight: float = 1.0) -> None:
-        self.dist.add(label, weight)
-        self.observed.add(label, weight)
-        self.weight_seen += weight
+    def __getstate__(self):  # a leaf without nominal attributes pickles no ``nominal``
+        names = self.__slots__[:-1] if self.nominal is None else self.__slots__
+        return None, {name: getattr(self, name) for name in names}
+
+    def __setstate__(self, state) -> None:
+        for name, value in {"nominal": None, **state[1]}.items():
+            setattr(self, name, value)
+
+    def learn(self, values, label: int) -> None:
+        self.dist.add(label)
+        self.observed.add(label)
+        self.weight_seen += 1.0
         for a, obs in self.observers:
-            obs.observe(values[a], label, weight)
+            obs.observe(values[a], label)
+        if self.nominal is not None:
+            self.nominal.learn(values, label)
 
     def disable_attribute(self, attribute: int) -> None:
-        self.observers = [(a, obs) for a, obs in self.observers if a != attribute]
+        if self.nominal is not None and attribute in self.nominal.attributes:
+            self.nominal = self.nominal.without(attribute)
+        else:
+            self.observers = [(a, obs) for a, obs in self.observers if a != attribute]
 
     def __repr__(self) -> str:
         return f"LeafNode(id={self.leaf_id}, n={self.weight_seen:.1f})"
@@ -183,9 +180,8 @@ class HoeffdingTree:
     # -- structure -----------------------------------------------------
 
     def _new_leaf(self, available, initial_dist) -> LeafNode:
-        leaf = LeafNode(
-            self._next_leaf_id, self.schema, available, self.config.numeric_bins, initial_dist
-        )
+        leaf = LeafNode(self._next_leaf_id, self.schema, available, self.config.numeric_bins,
+                        initial_dist)
         self._next_leaf_id += 1
         return leaf
 
@@ -246,11 +242,32 @@ class HoeffdingTree:
         return self._predict_nb(leaf, values)
 
     def _predict_nb(self, leaf: LeafNode, values) -> tuple[int, list[float]]:
-        dist = leaf.dist
-        scores = naive_bayes_scores(
-            leaf.observers, values, dist.weights, dist.total, leaf.observed.weights
-        )
+        """Scores P(c) * prod_a P(x_a | c), the attributes in attribute order.
+
+        Row 0 of ``factors`` is the prior, each further row one attribute's
+        finite likelihoods; ``np.multiply.reduce`` multiplies the rows in
+        turn, so a score has the bits of the product taken factor by factor.
+        """
+        dist, nominal, numeric = leaf.dist, leaf.nominal, leaf.observers
+        k = len(dist)
+        attrs = nominal.attributes if nominal is not None else ()
+        factors = np.empty((1 + len(attrs) + len(numeric), k))
+        np.divide(dist.weights, dist.total, out=factors[0])
+        if nominal is not None:
+            nominal.likelihoods(values, factors[1:1 + len(attrs)])
+        if not numeric:  # no factor exceeds 1, so the product cannot overflow
+            scores = np.multiply.reduce(factors, axis=0).tolist()
+        else:
+            for r, (a, obs) in enumerate(numeric, start=1 + len(attrs)):
+                factors[r] = [obs.nb_likelihood(values[a], c) for c in range(k)]
+            order = np.argsort(attrs + tuple(a for a, _ in numeric)) + 1  # attribute order
+            with np.errstate(over="ignore", invalid="ignore"):  # a density may exceed 1
+                scores = np.multiply.reduce(factors[[0, *order]], axis=0).tolist()
         total = math.fsum(scores)
+        if not math.isfinite(total):  # an overflow: inf classes share it, nan counts 0
+            top = [float(s == math.inf) for s in scores]
+            scores = top if any(top) else [0.0 if math.isnan(s) else s for s in scores]
+            total = math.fsum(scores)
         if total <= 0.0:  # every class annihilated; fall back to the priors
             scores = [w / dist.total for w in dist.weights]
             total = 1.0
@@ -259,7 +276,7 @@ class HoeffdingTree:
 
     # -- training ------------------------------------------------------
 
-    def train_one(self, instance: Instance, weight: float = 1.0) -> int:
+    def train_one(self, instance: Instance) -> int:
         """Predict from the pre-update leaf, then absorb the instance.
 
         Returns the prediction, which never depends on the instance's label.
@@ -272,7 +289,7 @@ class HoeffdingTree:
         self.schema.check_values(values)
         leaf, parent, branch = self._sort_path(values)
         prediction = self._predict_leaf(leaf, values)[0]
-        leaf.learn(values, label, weight)
+        leaf.learn(values, label)
         self.instances_trained += 1
         if leaf.dist.impure and (
             leaf.weight_seen - leaf.last_check_weight > self.config.grace_period
@@ -281,18 +298,11 @@ class HoeffdingTree:
         return prediction
 
     def _rank_candidates(self, leaf: LeafNode) -> list[SplitCandidate]:
-        # Numeric attributes are scored together, then merged back into
-        # attribute order with the nominal ones.
         pre = leaf.observed
-        numeric = [obs for _, obs in leaf.observers if type(obs) is GaussianNumericObserver]
-        numeric_splits = iter(numeric_best_splits(numeric, pre))
-        scored = [
-            next(numeric_splits) if type(obs) is GaussianNumericObserver else obs.best_split(pre)
-            for _, obs in leaf.observers
-        ]
-        candidates = [cand for cand in scored if cand is not None]
-        candidates.sort(key=lambda c: -c.merit)  # stable: merit ties keep attr order
-        return candidates
+        scored = numeric_best_splits([obs for _, obs in leaf.observers], pre)
+        if leaf.nominal is not None:
+            scored += leaf.nominal.best_split(pre)
+        return sorted((c for c in scored if c is not None), key=lambda c: (-c.merit, c.attribute))
 
     def _attempt_split(self, leaf: LeafNode, parent, branch: int) -> None:
         rank = self._rank_candidates(leaf)

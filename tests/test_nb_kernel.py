@@ -1,14 +1,15 @@
 """The naive-Bayes leaf kernel against the per-(value, class) likelihoods.
 
-``naive_bayes_scores`` hoists the per-attribute work out of the class loop
-and reads each Laplace denominator from the leaf's observed class counts.
-With unit weights every count is an exact integer, so the kernel must give
-the very bits of multiplying the observers' ``nb_likelihood`` values in
-attribute order: predictions, probability vectors and split logs are
-compared with ``==``.
+``HoeffdingTree._predict_nb`` gathers a leaf's nominal likelihood rows from
+its ``NominalObserver`` block, whose Laplace denominators are kept per
+arity as instances arrive.  Every count is an exact integer, so the kernel
+must give the very bits of multiplying the per-(value, class) likelihoods
+below in attribute order: predictions, probability vectors and split logs
+are compared with ``==``.
 """
 import math
 import random
+import warnings
 
 import pytest
 
@@ -60,6 +61,27 @@ def make(algorithm, schema):
     return StrictHoeffdingTree(schema, CONFIG, variant=1 if algorithm == "svfdt-i" else 2)
 
 
+def nominal_likelihood(block, a, value, c):
+    """Laplace-smoothed P(value | c) of attribute ``a`` from the block's counts.
+
+    The denominator sums the attribute's count row here, so the block's
+    per-arity ``den`` bookkeeping is checked, not trusted.
+    """
+    i = block.attributes.index(a)
+    start = sum(block.arities[:i])
+    row = [block.num[start + v, c] - 1.0 for v in range(block.arities[i])]
+    return (row[int(value)] + 1.0) / (sum(row) + block.arities[i])
+
+
+def likelihoods(leaf):
+    """(attribute, P(value | class) function) of each active attribute, in attribute order."""
+    pairs = [(a, obs.nb_likelihood) for a, obs in leaf.observers]
+    if leaf.nominal is not None:
+        pairs += [(a, lambda v, c, a=a: nominal_likelihood(leaf.nominal, a, v, c))
+                  for a in leaf.nominal.attributes]
+    return sorted(pairs, key=lambda pair: pair[0])
+
+
 def reference_nb(leaf, values):
     """The leaf's NB prediction as the product of per-(value, class) likelihoods."""
     dist = leaf.dist
@@ -71,8 +93,8 @@ def reference_nb(leaf, values):
         s = 0.0
         if prior > 0.0:
             s = prior / dist.total
-            for a, obs in leaf.observers:
-                s *= obs.nb_likelihood(values[a], c)
+            for a, likelihood in likelihoods(leaf):
+                s *= likelihood(values[a], c)
         scores.append(s)
     total = math.fsum(scores)
     if total <= 0.0:
@@ -125,3 +147,27 @@ def test_value_that_is_no_whole_number_rejected(bad):
     assert tree.predict(Instance((2.0, 1.0, 0, 0.5))) == tree.predict(Instance((2, 1.0, 0, 0.5)))
     with pytest.raises(ContractViolation, match=r"out of range \[0, 3\)"):
         tree.predict(Instance((bad, 1.0, 0, 0.5)))
+
+
+def overflow_tree(n_attrs):
+    """Two classes over ``n_attrs`` numeric attributes whose values sit at the
+    class value or 1e-9 above it, so each density at the class value is huge."""
+    schema = Schema(tuple(Attribute.numeric(f"x{i}") for i in range(n_attrs)), 2)
+    tree = HoeffdingTree(schema, TreeConfig(leaf_prediction="nb", grace_period=10_000))
+    for i in range(100):
+        c = i % 2
+        tree.train_one(Instance(tuple(c + 1e-9 * ((i // 2 + j) % 2) for j in range(n_attrs)), c))
+    return tree
+
+
+@pytest.mark.parametrize("n_attrs", [40, 3])
+def test_overflowing_product_keeps_a_probability_vector(n_attrs):
+    # At 40 attributes class 1's product overflows to inf, and inf / inf
+    # would read nan; the inf class takes the whole probability instead.
+    # At 3 the product is finite and keeps its bits.
+    tree = overflow_tree(n_attrs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        label, scores = tree.predict(Instance((1.0,) * n_attrs))
+    assert (label, scores) == (1, [0.0, 1.0])
+    assert all(math.isfinite(s) for s in scores) and math.fsum(scores) == 1.0

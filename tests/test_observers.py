@@ -1,6 +1,8 @@
 import math
+import pickle
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,36 +14,66 @@ from streamtree.observers import GaussianNumericObserver, NominalObserver
 class TestNominalObserver:
     def test_counting(self):
         # Values arrive admitted by Schema.check_values, so 2.0 counts as 2.
-        obs = NominalObserver(0, n_classes=2, arity=3)
-        obs.observe(1, 0)
-        obs.observe(1, 0)
-        obs.observe(2.0, 1)
-        assert obs.counts == [[0.0, 2.0, 0.0], [0.0, 0.0, 1.0]]
+        obs = NominalObserver((0,), (3,), n_classes=2)
+        obs.learn((1,), 0)
+        obs.learn((1,), 0)
+        obs.learn((2.0,), 1)
+        assert (obs.num - 1.0).tolist() == [[0.0, 0.0], [2.0, 0.0], [0.0, 1.0]]
+        assert obs.den.tolist() == [[5.0, 4.0]]
 
     def test_perfect_separation_merit(self):
-        obs = NominalObserver(0, n_classes=2, arity=2)
+        obs = NominalObserver((0,), (2,), n_classes=2)
         for _ in range(5):
-            obs.observe(0, 0)
-            obs.observe(1, 1)
-        cand = obs.best_split(ClassDistribution.from_weights([5, 5]))
+            obs.learn((0,), 0)
+            obs.learn((1,), 1)
+        [cand] = obs.best_split(ClassDistribution.from_weights([5, 5]))
         assert cand.merit == pytest.approx(1.0)
         assert cand.is_nominal and len(cand.post_split) == 2
         assert cand.post_split[0].weights == [5.0, 0.0]
         assert cand.post_split[1].weights == [0.0, 5.0]
 
     def test_no_observations_absent(self):
-        obs = NominalObserver(0, n_classes=2, arity=2)
-        assert obs.best_split(ClassDistribution(2)) is None
+        obs = NominalObserver((0,), (2,), n_classes=2)
+        assert obs.best_split(ClassDistribution(2)) == []
 
     def test_nb_likelihood_laplace(self):
-        obs = NominalObserver(0, n_classes=2, arity=2)
+        obs = NominalObserver((0,), (2,), n_classes=2)
         for _ in range(3):
-            obs.observe(0, 0)
-        obs.observe(1, 0)
-        # class 0 saw [3, 1]: P(v=0|c=0) = (3+1)/(4+2)
-        assert obs.nb_likelihood(0, 0) == pytest.approx(4 / 6)
-        # unseen class: uniform prior 1/arity
-        assert obs.nb_likelihood(0, 1) == pytest.approx(0.5)
+            obs.learn((0,), 0)
+        obs.learn((1,), 0)
+        out = np.empty((1, 2))
+        obs.likelihoods((0,), out)
+        # class 0 saw [3, 1]: P(v=0|c=0) = (3+1)/(4+2); unseen class 1: 1/arity
+        assert out.tolist() == [[4 / 6, 0.5]]
+
+    def test_one_denominator_row_per_arity(self):
+        obs = NominalObserver((1, 3, 4), (3, 2, 3), n_classes=2)
+        for values, label in [((9, 2, 9, 1, 0), 0), ((9, 0, 9, 1, 2.0), 1), ((9, 1, 9, 0, 2), 1)]:
+            obs.learn(values, label)
+        assert obs.num.shape == (8, 2)
+        # rows: arity 2 then arity 3, each n_c + arity
+        assert obs.den.tolist() == [[3.0, 4.0], [4.0, 5.0]]
+        out = np.empty((3, 2))
+        obs.likelihoods((9, 2, 9, 1, 2), out)
+        assert out.tolist() == [[2 / 4, 1 / 5], [2 / 3, 2 / 4], [1 / 4, 3 / 5]]
+
+    def test_deactivation_frees_the_rows(self):
+        obs = NominalObserver((1, 3, 4), (3, 2, 3), n_classes=2)
+        obs.learn((9, 2, 9, 1, 0), 0)
+        kept = obs.without(3)
+        assert kept.attributes == (1, 4) and kept.arities == (3, 3)
+        assert kept.num.tolist() == obs.num[[0, 1, 2, 5, 6, 7]].tolist()
+        assert kept.den.tolist() == [[4.0, 3.0]]  # the arity-2 row is gone
+        assert kept.without(1).without(4) is None
+
+    def test_pickle_carries_the_arrays_and_restores_the_views(self):
+        obs = NominalObserver((0, 1), (2, 3), n_classes=2)
+        obs.learn((1, 2), 0)
+        copy = pickle.loads(pickle.dumps(obs))
+        assert copy.num.tolist() == obs.num.tolist() and copy.den.tolist() == obs.den.tolist()
+        copy.learn((0, 0), 1)
+        obs.learn((0, 0), 1)
+        assert copy.num.tolist() == obs.num.tolist() and copy.den.tolist() == obs.den.tolist()
 
 
 def batch_mean_variance(xs):

@@ -18,6 +18,8 @@ from streamtree.experiment import ExperimentConfig, main, make_learner, run_expe
 from streamtree.streams import LedStream, RbfStream, SeaStream
 from streamtree.svfdt import leaf_entropy_stats
 from streamtree.tree import LeafNode, TreeConfig
+from test_nb_kernel import reference_nb
+from test_tree import active
 
 THREE_CLASSES = Schema((Attribute.nominal("a", 2),), 3)
 
@@ -154,7 +156,7 @@ def test_rejected_instance_leaves_the_tree_unchanged(schema, seed, prefix, algor
     if fault == "deactivated":
         # Prefer an attribute the instance's leaf has deactivated, if any.
         leaf = learner.sort_to_leaf(Instance(values))
-        dropped = set(leaf.available) - {a for a, _ in leaf.observers}
+        dropped = set(leaf.available) - set(active(leaf))
         nominal = [a for a in nominal if a in dropped] or nominal
     if fault in ("value", "deactivated"):
         a = data.draw(st.sampled_from(nominal))
@@ -169,6 +171,61 @@ def test_rejected_instance_leaves_the_tree_unchanged(schema, seed, prefix, algor
     with pytest.raises(ContractViolation):
         learner.train_one(Instance(values, label))
     assert pickle.dumps(learner) == before
+
+
+@st.composite
+def nominal_block_schemas(draw):
+    """One to five nominal attributes, of two arities or more when there are
+    several, and up to three numeric ones, in a drawn order, over two to five
+    classes."""
+    arities = draw(st.lists(st.integers(2, 5), min_size=1, max_size=5))
+    if len(arities) > 1 and len(set(arities)) == 1:
+        arities[-1] = 2 + arities[0] % 4
+    kinds = draw(st.permutations(arities + [None] * draw(st.integers(0, 3))))
+    attributes = tuple(
+        Attribute.numeric(f"x{i}") if arity is None else Attribute.nominal(f"a{i}", arity)
+        for i, arity in enumerate(kinds)
+    )
+    return Schema(attributes, draw(st.integers(2, 5)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    schema=nominal_block_schemas(),
+    seed=st.integers(1, 10_000),
+    n=st.integers(0, 600),
+    algorithm=st.sampled_from(["vfdt", "svfdt-i", "svfdt-ii"]),
+    data=st.data(),
+)
+def test_nominal_block_matches_the_reference_and_survives_pickling(schema, seed, n,
+                                                                    algorithm, data):
+    # tiebreak 0: label-following attributes tie, so checks are refused and
+    # the leaves deactivate the attributes that trail them.
+    learner = make_learner(algorithm, schema,
+                           TreeConfig(grace_period=20, tiebreak=0.0, leaf_prediction="nb"))
+    informative = data.draw(st.sets(st.integers(0, schema.n_attributes - 1)))
+    rng = random.Random(seed)
+    for _ in range(n):
+        learner.train_one(valid_instance(schema, rng, informative))
+    for leaf in learner.iter_leaves():
+        nominal = [a for a in active(leaf) if schema.attributes[a].is_nominal]
+        if not nominal:
+            assert leaf.nominal is None and "nominal" not in leaf.__getstate__()[1]
+            continue
+        arities = [schema.attributes[a].arity for a in nominal]
+        assert leaf.nominal.num.shape == (sum(arities), schema.class_count)
+        assert leaf.nominal.den.tolist() == [
+            [w + k for w in leaf.observed.weights] for k in sorted(set(arities))
+        ]
+    probes = [valid_instance(schema, rng, informative) for _ in range(20)]
+    for probe in probes:
+        leaf = learner.sort_to_leaf(probe)
+        assert learner.predict(Instance(probe.values)) == reference_nb(leaf, probe.values)
+    copy = pickle.loads(pickle.dumps(learner))
+    more = [valid_instance(schema, rng, informative) for _ in range(300)]
+    assert [copy.train_one(i) for i in more] == [learner.train_one(i) for i in more]
+    assert copy.split_log == learner.split_log
+    assert [copy.predict(p) for p in probes] == [learner.predict(p) for p in probes]
 
 
 CSV_COLUMNS = [{"name": "x", "kind": "numeric"},

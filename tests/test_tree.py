@@ -26,6 +26,12 @@ TWO_NOMINAL = Schema((Attribute.nominal("a", 2), Attribute.nominal("b", 2)), 2)
 TWO_NUMERIC = Schema((Attribute.numeric("x"), Attribute.numeric("y")), 2)
 
 
+def active(leaf):
+    """The attributes a leaf still observes, in attribute order."""
+    nominal = leaf.nominal.attributes if leaf.nominal is not None else ()
+    return sorted([a for a, _ in leaf.observers] + list(nominal))
+
+
 def perfect_attribute_stream(n, seed=0):
     """Attribute 0 copies the label; attribute 1 is random noise."""
     rng = random.Random(seed)
@@ -199,6 +205,20 @@ class TestTraining:
         assert tree.root.dist.weights == [1.0, 1.0, 1.0]
         assert tree.split_log == []
 
+    @pytest.mark.parametrize("weight", [math.nan, math.inf, 2.0])
+    def test_an_instance_carries_no_weight(self, weight):
+        # Every instance counts once, so count + 1 and n_c + arity stay whole
+        # numbers; a nan or inf weight used to be learned into the leaf.
+        schema = Schema((Attribute.nominal("a", 2), Attribute.numeric("x")), 2)
+        tree = HoeffdingTree(schema, TreeConfig(leaf_prediction="nb"))
+        with pytest.raises(TypeError):
+            tree.train_one(Instance((1, 0.5), 0), weight=weight)
+        with pytest.raises(TypeError):
+            tree.root.learn((1, 0.5), 0, weight)
+        assert tree.root.dist.weights == [0.0, 0.0] and tree.instances_trained == 0
+        tree.train_one(Instance((1, 0.5), 0))
+        assert tree.predict(Instance((1, 0.5))) == (0, [1.0, 0.0])
+
     @pytest.mark.parametrize("bad", [1.7, -0.5, math.nan, math.inf])
     @pytest.mark.parametrize("mode", ["mc", "nb"])
     def test_nominal_value_that_is_no_whole_number_rejected(self, bad, mode):
@@ -238,7 +258,7 @@ class TestTraining:
         for _ in range(400):
             label = rng.randrange(2)
             tree.train_one(Instance((label, label, rng.randrange(3)), label))
-        assert [a for a, _ in tree.root.observers] == [0, 1]
+        assert active(tree.root) == [0, 1]
         before = pickle.dumps(tree)
         with pytest.raises(ContractViolation, match=r"7 out of range \[0, 3\) for attribute 'c'"):
             tree.train_one(Instance((0, 0, 7), 0))
@@ -253,7 +273,7 @@ class TestTraining:
             assert child.weight_seen == pytest.approx(child.dist.total, rel=1e-9)
             assert child.last_check_weight <= child.weight_seen
             # the nominal split attribute is gone from the children
-            assert [a for a, _ in child.observers] == [1]
+            assert active(child) == [1]
 
     def test_no_instance_counted_twice_across_leaves(self):
         tree = HoeffdingTree(TWO_NOMINAL, TreeConfig(grace_period=50, tiebreak=0.5))
@@ -319,17 +339,17 @@ class TestFeatureSelection:
     def test_trailing_attribute_dropped(self):
         leaf = make_leaf_with_observers(TWO_NOMINAL)
         feature_selection(self.rank([0.9, 0.1]), epsilon=0.3, leaf=leaf)
-        assert [a for a, _ in leaf.observers] == [0]
+        assert active(leaf) == [0]
 
     def test_equal_merits_keep_everything(self):
         leaf = make_leaf_with_observers(TWO_NOMINAL)
         feature_selection(self.rank([0.5, 0.5]), epsilon=0.0, leaf=leaf)
-        assert [a for a, _ in leaf.observers] == [0, 1]
+        assert active(leaf) == [0, 1]
 
     def test_large_epsilon_keeps_everything(self):
         leaf = make_leaf_with_observers(TWO_NOMINAL)
         feature_selection(self.rank([0.9, 0.1]), epsilon=0.85, leaf=leaf)
-        assert [a for a, _ in leaf.observers] == [0, 1]
+        assert active(leaf) == [0, 1]
 
 
 class TestTreeSize:
