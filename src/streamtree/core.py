@@ -160,14 +160,13 @@ class ClassDistribution:
         dist.total = math.fsum(dist.weights)
         return dist
 
-    def add(self, class_index: int, weight: float = 1.0) -> None:
-        if weight < 0:
-            raise ContractViolation(f"negative weight {weight!r}")
+    def add(self, class_index: int) -> None:
+        """Count one instance of the class."""
         w = self.weights[class_index]
-        if w == 0.0 and weight > 0.0:
+        if w == 0.0:
             self._nonzero += 1
-        self.weights[class_index] = w + weight
-        self.total += weight
+        self.weights[class_index] = w + 1.0
+        self.total += 1.0
 
     def copy(self) -> "ClassDistribution":
         dup = ClassDistribution(len(self.weights))

@@ -120,8 +120,8 @@ class ExperimentConfig:
         for algo in self.algorithms:
             if algo not in ALGORITHMS:
                 raise ConfigError(f"unknown algorithm {algo!r} (expected one of {ALGORITHMS})")
-        if any(t < 0 for t in self.tiebreaks):
-            raise ConfigError("tiebreak values must be >= 0")
+        if not self.tiebreaks or min(self.tiebreaks) < 0:
+            raise ConfigError("config needs at least one tiebreak, each >= 0")
         if self.repetitions < 1:
             raise ConfigError(f"repetitions must be >= 1, got {self.repetitions}")
         if not self.seeds:
@@ -133,18 +133,19 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(raw: dict) -> "ExperimentConfig":
-        raw = dict(raw)
-        try:
-            streams = tuple(StreamSpec.from_dict(s) for s in raw.pop("streams"))
-        except KeyError:
-            raise ConfigError("config is missing the 'streams' field") from None
+        """The config of a parsed JSON object: each field must have the JSON
+        type of its default, and ``streams`` must be a list of objects."""
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config must be a JSON object, got {raw!r}")
+        if "streams" not in raw:
+            raise ConfigError("config is missing the 'streams' field")
         unknown = set(raw) - {f.name for f in fields(ExperimentConfig)}
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        for key in ("algorithms", "tiebreaks", "seeds"):
-            if key in raw:
-                raw[key] = tuple(raw[key])
-        return ExperimentConfig(streams=streams, **raw)
+        settings = {f.name: _typed(f.name, raw[f.name], ({},) if f.name == "streams" else f.default)
+                    for f in fields(ExperimentConfig) if f.name in raw}
+        settings["streams"] = tuple(map(StreamSpec.from_dict, settings["streams"]))
+        return ExperimentConfig(**settings)
 
     def tree_config(self, tiebreak: float) -> TreeConfig:
         """The learners' settings: each TreeConfig field but ``tiebreak`` is
@@ -161,6 +162,20 @@ class ExperimentConfig:
         del settings["workers"]
         canonical = json.dumps(settings, sort_keys=True)
         return hashlib.sha256(canonical.encode()).hexdigest()[:16]
+
+
+def _typed(name: str, value, default):
+    """``value`` if it has the JSON type of ``default``, as a tuple where
+    ``default`` is one; an int stands for a float, a bool for no number."""
+    if isinstance(default, tuple):
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"config field {name!r} takes a list, got {value!r}")
+        return tuple(_typed(name, v, default[0]) for v in value)
+    kind = (int, float) if isinstance(default, float) else type(default)
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ConfigError(
+            f"config field {name!r} takes {type(default).__name__} values, got {value!r}")
+    return value
 
 
 def load_config(path) -> ExperimentConfig:

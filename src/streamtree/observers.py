@@ -16,7 +16,7 @@ from math import exp, sqrt
 import numpy as np
 from scipy.special import ndtr, xlogy
 
-from .core import ClassDistribution, ContractViolation, entropy
+from .core import ClassDistribution, entropy
 
 # Point-mass window for zero-variance Gaussians when used as NB densities.
 _POINT_MASS_TOL = 1e-9
@@ -123,47 +123,31 @@ class NominalObserver:
 
 
 class GaussianNumericObserver:
-    """Class-conditional running Gaussians for one numeric attribute.
-
-    Candidate thresholds are ``bins`` equally spaced points strictly between
-    the observed min and max; each side's per-class weight is the class count
-    scaled by the normal CDF (a point mass when the class variance is zero).
+    """Class-conditional running Gaussians for one numeric attribute: per
+    class the count, mean and sum of squared deviations (Welford), plus the
+    observed range.  The leaf pairs it with its attribute index.
     """
 
-    __slots__ = ("attribute", "bins", "counts", "means", "m2", "vmin", "vmax")
+    __slots__ = ("counts", "means", "m2", "vmin", "vmax")
 
-    def __init__(self, attribute: int, n_classes: int, bins: int = 100):
-        if bins < 1:
-            raise ContractViolation(f"bins must be >= 1, got {bins}")
-        self.attribute = attribute
-        self.bins = bins
+    def __init__(self, n_classes: int):
         self.counts = [0.0] * n_classes
         self.means = [0.0] * n_classes
         self.m2 = [0.0] * n_classes
         self.vmin = math.inf
         self.vmax = -math.inf
 
-    def observe(self, value, class_index: int, weight: float = 1.0) -> None:
+    def observe(self, value, class_index: int) -> None:
         x = float(value)
-        n = self.counts[class_index] + weight
+        n = self.counts[class_index] + 1.0
         self.counts[class_index] = n
         delta = x - self.means[class_index]
-        self.means[class_index] += delta * weight / n
-        self.m2[class_index] += weight * delta * (x - self.means[class_index])
+        self.means[class_index] += delta / n
+        self.m2[class_index] += delta * (x - self.means[class_index])
         if x < self.vmin:
             self.vmin = x
         if x > self.vmax:
             self.vmax = x
-
-    def variance(self, class_index: int) -> float:
-        """Unbiased per-class variance; zero until two observations exist."""
-        n = self.counts[class_index]
-        if n <= 1.0:
-            return 0.0
-        return self.m2[class_index] / (n - 1.0)
-
-    def best_split(self, pre_dist: ClassDistribution) -> SplitCandidate | None:
-        return numeric_best_splits([self], pre_dist)[0]
 
     def nb_likelihood(self, value, class_index: int) -> float:
         """Gaussian density of ``value`` under the class; point mass if variance is 0."""
@@ -178,27 +162,28 @@ class GaussianNumericObserver:
         return 1.0 if abs(diff) <= _POINT_MASS_TOL else 0.0
 
 
-def numeric_best_splits(observers, pre_dist: ClassDistribution) -> list[SplitCandidate | None]:
-    """Best threshold candidate of each Gaussian observer of one leaf, in one pass.
+def numeric_best_splits(pairs, pre_dist: ClassDistribution,
+                        bins: int) -> list[SplitCandidate | None]:
+    """Best threshold candidate of each (attribute, Gaussian observer) pair of
+    one leaf, in one pass; the thresholds are ``bins`` equally spaced points
+    strictly between an observer's min and max.
 
-    The observers must share ``bins``.  Entry i is None when observer i has
-    no observations or one repeated value.  Every float is computed by the
-    same elementwise operation as scoring the observers one at a time, and
-    the class sums run over a contiguous leading class axis in class order,
-    so the candidates do not depend on which other observers are scored.
+    Entry i is None when pair i has no observations or one repeated value.
+    Every float is computed by the same elementwise operation as scoring the
+    observers one at a time, and the class sums run over a contiguous leading
+    class axis in class order, so the candidates do not depend on which other
+    observers are scored.
     """
-    results: list[SplitCandidate | None] = [None] * len(observers)
-    live = [i for i, obs in enumerate(observers) if obs.vmin < obs.vmax]
+    results: list[SplitCandidate | None] = [None] * len(pairs)
+    live = [i for i, (_, obs) in enumerate(pairs) if obs.vmin < obs.vmax]
     if not live:
         return results
-    bins = observers[live[0]].bins
-    if any(observers[i].bins != bins for i in live):
-        raise ContractViolation("observers scored together must share bins")
-    lo = np.array([observers[i].vmin for i in live])
-    hi = np.array([observers[i].vmax for i in live])
-    counts = np.array([observers[i].counts for i in live])  # (attributes, classes)
-    means = np.array([observers[i].means for i in live])
-    m2 = np.array([observers[i].m2 for i in live])
+    observers = [pairs[i][1] for i in live]
+    lo = np.array([obs.vmin for obs in observers])
+    hi = np.array([obs.vmax for obs in observers])
+    counts = np.array([obs.counts for obs in observers])  # (attributes, classes)
+    means = np.array([obs.means for obs in observers])
+    m2 = np.array([obs.m2 for obs in observers])
     steps = np.arange(1, bins + 1, dtype=float) / (bins + 1)
     thresholds = lo[:, None] + (hi - lo)[:, None] * steps  # (attributes, bins)
 
@@ -232,7 +217,7 @@ def numeric_best_splits(observers, pre_dist: ClassDistribution) -> list[SplitCan
     )
     for i, threshold, merit, left, right in picked:
         post = [ClassDistribution.from_weights(left), ClassDistribution.from_weights(right)]
-        results[i] = SplitCandidate(observers[i].attribute, threshold, merit, post)
+        results[i] = SplitCandidate(pairs[i][0], threshold, merit, post)
     return results
 
 

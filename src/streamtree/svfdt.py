@@ -115,7 +115,7 @@ def can_split(
         return False
     best_gain = merits[0]
     h_leaf = entropy(leaf.dist)
-    n_leaf = leaf.weight_seen
+    n_leaf = leaf.dist.total
 
     lh_snap = leaf_entropy_stats(leaves)
     h_snap = stats.h_stats.snapshot()

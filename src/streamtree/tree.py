@@ -64,45 +64,33 @@ class LeafNode:
     """A growing leaf: class counts, observers, and split-check bookkeeping.
 
     ``dist`` includes the weight inherited from the parent's post-split
-    estimate; ``observed`` counts only instances this leaf has actually
-    seen, which is exactly the population the observers describe.
+    estimate, and its total is the leaf's weight; ``observed`` counts only
+    instances this leaf has actually seen, which is exactly the population
+    the observers describe.
     ``observers`` lists the (attribute, observer) pairs of the active
     numeric attributes in attribute order; ``nominal`` holds the counts of
     every active nominal attribute, or None when there is none.
     Deactivating an attribute drops its pair or its rows.
     """
 
-    # ``nominal`` comes last, which ``__getstate__`` relies on.
-    __slots__ = ("leaf_id", "dist", "observed", "observers", "available", "weight_seen",
-                 "last_check_weight", "nominal")
+    __slots__ = ("dist", "observed", "observers", "available", "last_check_weight", "nominal")
 
-    def __init__(self, leaf_id: int, schema: Schema, available: tuple[int, ...], bins: int,
+    def __init__(self, schema: Schema, available: tuple[int, ...],
                  initial_dist: ClassDistribution | None = None):
-        self.leaf_id = leaf_id
         k = schema.class_count
         self.dist = initial_dist.copy() if initial_dist is not None else ClassDistribution(k)
         self.observed = ClassDistribution(k)
         self.available = available
-        self.observers = [(a, GaussianNumericObserver(a, k, bins))
+        self.observers = [(a, GaussianNumericObserver(k))
                           for a in available if not schema.attributes[a].is_nominal]
         nominal = [a for a in available if schema.attributes[a].is_nominal]
         arities = [schema.attributes[a].arity for a in nominal]
         self.nominal = NominalObserver(nominal, arities, k) if nominal else None
-        self.weight_seen = self.dist.total
-        self.last_check_weight = self.weight_seen
-
-    def __getstate__(self):  # a leaf without nominal attributes pickles no ``nominal``
-        names = self.__slots__[:-1] if self.nominal is None else self.__slots__
-        return None, {name: getattr(self, name) for name in names}
-
-    def __setstate__(self, state) -> None:
-        for name, value in {"nominal": None, **state[1]}.items():
-            setattr(self, name, value)
+        self.last_check_weight = self.dist.total
 
     def learn(self, values, label: int) -> None:
         self.dist.add(label)
         self.observed.add(label)
-        self.weight_seen += 1.0
         for a, obs in self.observers:
             obs.observe(values[a], label)
         if self.nominal is not None:
@@ -115,7 +103,7 @@ class LeafNode:
             self.observers = [(a, obs) for a, obs in self.observers if a != attribute]
 
     def __repr__(self) -> str:
-        return f"LeafNode(id={self.leaf_id}, n={self.weight_seen:.1f})"
+        return f"LeafNode(n={self.dist.total:.1f})"
 
 
 class SplitNode:
@@ -171,19 +159,12 @@ class HoeffdingTree:
         self.schema = schema
         self.config = config if config is not None else TreeConfig()
         self._hb_range = self.config.bound_range(schema.class_count)
-        self._next_leaf_id = 0
         self.instances_trained = 0
         # (instances_trained at the moment of the split, attribute index)
         self.split_log: list[tuple[int, int]] = []
-        self.root = self._new_leaf(tuple(range(schema.n_attributes)), None)
+        self.root = LeafNode(schema, tuple(range(schema.n_attributes)))
 
     # -- structure -----------------------------------------------------
-
-    def _new_leaf(self, available, initial_dist) -> LeafNode:
-        leaf = LeafNode(self._next_leaf_id, self.schema, available, self.config.numeric_bins,
-                        initial_dist)
-        self._next_leaf_id += 1
-        return leaf
 
     def _sort_path(self, values):
         """Follow split tests down to a leaf, tracking where to re-attach it."""
@@ -292,14 +273,14 @@ class HoeffdingTree:
         leaf.learn(values, label)
         self.instances_trained += 1
         if leaf.dist.impure and (
-            leaf.weight_seen - leaf.last_check_weight > self.config.grace_period
+            leaf.dist.total - leaf.last_check_weight > self.config.grace_period
         ):
             self._attempt_split(leaf, parent, branch)
         return prediction
 
     def _rank_candidates(self, leaf: LeafNode) -> list[SplitCandidate]:
         pre = leaf.observed
-        scored = numeric_best_splits([obs for _, obs in leaf.observers], pre)
+        scored = numeric_best_splits(leaf.observers, pre, self.config.numeric_bins)
         if leaf.nominal is not None:
             scored += leaf.nominal.best_split(pre)
         return sorted((c for c in scored if c is not None), key=lambda c: (-c.merit, c.attribute))
@@ -307,13 +288,13 @@ class HoeffdingTree:
     def _attempt_split(self, leaf: LeafNode, parent, branch: int) -> None:
         rank = self._rank_candidates(leaf)
         if not rank:
-            leaf.last_check_weight = leaf.weight_seen
+            leaf.last_check_weight = leaf.dist.total
             return
-        epsilon = hoeffding_bound(self._hb_range, self.config.delta, leaf.weight_seen)
+        epsilon = hoeffding_bound(self._hb_range, self.config.delta, leaf.dist.total)
         if self._should_split(leaf, rank, epsilon):
             self._split(leaf, parent, branch, rank[0])
         else:
-            leaf.last_check_weight = leaf.weight_seen
+            leaf.last_check_weight = leaf.dist.total
             feature_selection(rank, epsilon, leaf)
 
     def _should_split(self, leaf: LeafNode, rank: list[SplitCandidate], epsilon: float) -> bool:
@@ -325,7 +306,7 @@ class HoeffdingTree:
             child_attrs = tuple(a for a in leaf.available if a != winner.attribute)
         else:
             child_attrs = leaf.available
-        children = [self._new_leaf(child_attrs, dist) for dist in winner.post_split]
+        children = [LeafNode(self.schema, child_attrs, dist) for dist in winner.post_split]
         node = SplitNode(winner.attribute, winner.threshold, children)
         if parent is None:
             self.root = node

@@ -236,9 +236,8 @@ class TestCriterion08SnapshotOrderRegression:
         from streamtree.svfdt import GrowthStatistics
 
         schema = Schema((Attribute.nominal("a", 2),), 2)
-        leaf = LeafNode(0, schema, (0,), 10)
+        leaf = LeafNode(schema, (0,))
         leaf.dist = ClassDistribution.from_weights([450, 50])
-        leaf.weight_seen = 500.0
         h_leaf = entropy(leaf.dist)  # ~0.469
         stats = GrowthStatistics()
         stats.record_satisfy(1.0, 0.2, 100.0)

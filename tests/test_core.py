@@ -177,33 +177,36 @@ class TestClassDistribution:
     def test_impure_needs_two_positive_classes(self):
         dist = ClassDistribution(3)
         assert not dist.impure
-        dist.add(1, 2.0)
+        dist.add(1)
+        dist.add(1)
         assert not dist.impure
-        dist.add(2, 0.5)
+        dist.add(2)
         assert dist.impure
+        assert not ClassDistribution.from_weights([0.0, 2.5, 0.0]).impure
+        assert ClassDistribution.from_weights([0.0, 2.5, 0.5]).impure
 
     def test_argmax_tie_breaks_low(self):
         assert ClassDistribution.from_weights([5, 5]).argmax() == 0
         assert ClassDistribution.from_weights([3, 7]).argmax() == 1
 
     def test_negative_weight_rejected(self):
-        dist = ClassDistribution(2)
-        with pytest.raises(ContractViolation):
-            dist.add(0, -1.0)
         with pytest.raises(ContractViolation):
             ClassDistribution.from_weights([1, -2])
 
     def test_copy_is_independent(self):
         dist = ClassDistribution.from_weights([1, 2])
         dup = dist.copy()
-        dup.add(0, 5)
-        assert dist.weights == [1, 2]
+        dup.add(0)
+        assert dist.weights == [1, 2] and dist.total == 3.0
 
-    @given(st.lists(st.tuples(st.integers(0, 4), st.floats(0, 1e3)), max_size=100))
-    def test_total_tracks_weight_sum(self, additions):
-        dist = ClassDistribution(5)
-        for cls, w in additions:
-            dist.add(cls, w)
+    @given(st.lists(st.floats(0, 1e3), min_size=5, max_size=5),
+           st.lists(st.integers(0, 4), max_size=100))
+    def test_total_tracks_weight_sum(self, start, additions):
+        # A leaf starts from a post-split estimate with fractional weights
+        # and then counts each instance once.
+        dist = ClassDistribution.from_weights(start)
+        for cls in additions:
+            dist.add(cls)
         assert dist.total == pytest.approx(math.fsum(dist.weights), rel=1e-9, abs=1e-12)
 
 

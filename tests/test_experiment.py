@@ -332,6 +332,24 @@ class TestCli:
         assert main(["run", "--config", str(path)]) == 1
         assert "nope" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("payload", [
+        dict(BASE_CONFIG, tiebreaks=["a"]),
+        dict(BASE_CONFIG, tiebreaks=[]),
+        dict(BASE_CONFIG, grace_period="200"),
+        dict(BASE_CONFIG, grace_period=True),
+        dict(BASE_CONFIG, seeds=3),
+        dict(BASE_CONFIG, streams={"type": "sea"}),
+        dict(BASE_CONFIG, streams=["sea"]),
+        [1, 2],
+    ], ids=["tiebreak-str", "no-tiebreak", "grace-str", "grace-bool", "seeds-int",
+            "streams-object", "stream-str", "top-level-list"])
+    def test_config_value_of_the_wrong_json_type_is_config_error(self, tmp_path, capsys,
+                                                                 payload):
+        path = write_config(tmp_path, payload)
+        assert main(["run", "--config", str(path), "--output-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_invalid_json_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{not json", encoding="utf-8")

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from streamtree.core import ClassDistribution, entropy, information_gain
-from streamtree.observers import GaussianNumericObserver, NominalObserver
+from streamtree.observers import GaussianNumericObserver, NominalObserver, numeric_best_splits
 
 
 class TestNominalObserver:
@@ -76,6 +76,17 @@ class TestNominalObserver:
         assert copy.num.tolist() == obs.num.tolist() and copy.den.tolist() == obs.den.tolist()
 
 
+def variance(obs: GaussianNumericObserver, c: int) -> float:
+    """Unbiased variance of class c; zero until two observations exist."""
+    n = obs.counts[c]
+    return obs.m2[c] / (n - 1.0) if n > 1.0 else 0.0
+
+
+def best_split(obs: GaussianNumericObserver, pre: ClassDistribution, bins: int = 100):
+    """The observer's candidate, scored alone as attribute 0."""
+    return numeric_best_splits([(0, obs)], pre, bins)[0]
+
+
 def batch_mean_variance(xs):
     # Two-pass oracle for the one-pass accumulator.
     n = len(xs)
@@ -87,40 +98,42 @@ def batch_mean_variance(xs):
 
 
 class TestGaussianObserver:
+    BINS = 20  # of the random observers
+
     def test_mean_and_sample_variance(self):
-        obs = GaussianNumericObserver(0, n_classes=2)
+        obs = GaussianNumericObserver(n_classes=2)
         for x in (1, 2, 3, 4, 5):
             obs.observe(x, 0)
         assert obs.means[0] == pytest.approx(3.0)
-        assert obs.variance(0) == pytest.approx(2.5)
+        assert variance(obs, 0) == pytest.approx(2.5)
 
     def test_single_value_has_zero_variance(self):
-        obs = GaussianNumericObserver(0, n_classes=2)
+        obs = GaussianNumericObserver(n_classes=2)
         obs.observe(4.2, 1)
-        assert obs.variance(1) == 0.0
+        assert variance(obs, 1) == 0.0
 
     @given(st.lists(st.floats(min_value=-1e4, max_value=1e4), min_size=1, max_size=300))
     def test_matches_two_pass_batch(self, xs):
-        obs = GaussianNumericObserver(0, n_classes=1)
+        obs = GaussianNumericObserver(n_classes=1)
         for x in xs:
             obs.observe(x, 0)
         mean, var = batch_mean_variance(xs)
         assert obs.means[0] == pytest.approx(mean, rel=1e-9, abs=1e-9)
-        assert obs.variance(0) == pytest.approx(var, rel=1e-9, abs=1e-6)
+        assert variance(obs, 0) == pytest.approx(var, rel=1e-9, abs=1e-6)
 
     def test_long_sequence_matches_batch(self):
         rng = random.Random(42)
         xs = [rng.gauss(10.0, 3.0) for _ in range(100_000)]
-        obs = GaussianNumericObserver(0, n_classes=1)
+        obs = GaussianNumericObserver(n_classes=1)
         for x in xs:
             obs.observe(x, 0)
         mean, var = batch_mean_variance(xs)
         assert obs.means[0] == pytest.approx(mean, rel=1e-9)
-        assert obs.variance(0) == pytest.approx(var, rel=1e-9)
+        assert variance(obs, 0) == pytest.approx(var, rel=1e-9)
 
     def test_well_separated_classes_recover_full_entropy(self):
         rng = random.Random(7)
-        obs = GaussianNumericObserver(0, n_classes=2)
+        obs = GaussianNumericObserver(n_classes=2)
         pre = ClassDistribution(2)
         for _ in range(200):
             x0 = rng.gauss(-10.0, 1.0)
@@ -129,39 +142,39 @@ class TestGaussianObserver:
             x1 = rng.gauss(10.0, 1.0)
             obs.observe(x1, 1)
             pre.add(1)
-        cand = obs.best_split(pre)
+        cand = best_split(obs, pre)
         assert cand is not None
         assert abs(cand.threshold) < 5.0
         assert cand.merit == pytest.approx(entropy(pre), abs=0.05)
 
     def test_zero_range_absent(self):
-        obs = GaussianNumericObserver(0, n_classes=2)
+        obs = GaussianNumericObserver(n_classes=2)
         for _ in range(10):
             obs.observe(3.0, 0)
             obs.observe(3.0, 1)
-        assert obs.best_split(ClassDistribution.from_weights([10, 10])) is None
+        assert best_split(obs, ClassDistribution.from_weights([10, 10])) is None
 
     def test_unseen_class_contributes_no_weight(self):
-        obs = GaussianNumericObserver(0, n_classes=2)
+        obs = GaussianNumericObserver(n_classes=2)
         for x in (1.0, 2.0, 3.0):
             obs.observe(x, 0)
-        cand = obs.best_split(ClassDistribution.from_weights([3, 0]))
+        cand = best_split(obs, ClassDistribution.from_weights([3, 0]))
         for branch in cand.post_split:
             assert branch.weights[1] == 0.0
 
     def test_zero_variance_point_mass_sides(self):
-        obs = GaussianNumericObserver(0, n_classes=2, bins=9)
+        obs = GaussianNumericObserver(n_classes=2)
         for _ in range(5):
             obs.observe(0.0, 0)
             obs.observe(10.0, 1)
-        cand = obs.best_split(ClassDistribution.from_weights([5, 5]))
+        cand = best_split(obs, ClassDistribution.from_weights([5, 5]), bins=9)
         # Point masses sit entirely on one side of the best threshold.
         assert cand.merit == pytest.approx(1.0)
         assert cand.post_split[0].weights == [5.0, 0.0]
         assert cand.post_split[1].weights == [0.0, 5.0]
 
     def _random_observer(self, rng, n_classes=3):
-        obs = GaussianNumericObserver(0, n_classes=n_classes, bins=20)
+        obs = GaussianNumericObserver(n_classes=n_classes)
         pre = ClassDistribution(n_classes)
         for _ in range(rng.randrange(5, 80)):
             c = rng.randrange(n_classes)
@@ -173,7 +186,7 @@ class TestGaussianObserver:
     @settings(max_examples=40)
     def test_branch_weights_match_pre_split(self, seed):
         obs, pre = self._random_observer(random.Random(seed))
-        cand = obs.best_split(pre)
+        cand = best_split(obs, pre, self.BINS)
         if cand is None:
             return
         for c in range(3):
@@ -185,12 +198,12 @@ class TestGaussianObserver:
     def test_merit_is_argmax_over_thresholds(self, seed):
         rng = random.Random(seed)
         obs, pre = self._random_observer(rng)
-        cand = obs.best_split(pre)
+        cand = best_split(obs, pre, self.BINS)
         if cand is None:
             return
         lo, hi = obs.vmin, obs.vmax
-        for i in range(1, obs.bins + 1):
-            threshold = lo + (hi - lo) * i / (obs.bins + 1)
+        for i in range(1, self.BINS + 1):
+            threshold = lo + (hi - lo) * i / (self.BINS + 1)
             below = []
             above = []
             for c in range(3):
@@ -199,7 +212,7 @@ class TestGaussianObserver:
                     below.append(0.0)
                     above.append(0.0)
                     continue
-                sd = math.sqrt(obs.variance(c))
+                sd = math.sqrt(variance(obs, c))
                 if sd == 0.0:
                     frac = 1.0 if obs.means[c] <= threshold else 0.0
                 else:

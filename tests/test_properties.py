@@ -37,10 +37,8 @@ def bits(snapshot):
 
 @given(st.data(), st.lists(weights, min_size=1, max_size=40))
 def test_leaf_entropy_stats_ignore_leaf_order(data, leaf_weights):
-    leaves = [
-        LeafNode(i, THREE_CLASSES, (0,), 10, ClassDistribution.from_weights(w))
-        for i, w in enumerate(leaf_weights)
-    ]
+    leaves = [LeafNode(THREE_CLASSES, (0,), ClassDistribution.from_weights(w))
+              for w in leaf_weights]
     shuffled = data.draw(st.permutations(leaves))
     assert bits(leaf_entropy_stats(shuffled)) == bits(leaf_entropy_stats(leaves))
 
@@ -175,13 +173,13 @@ def test_rejected_instance_leaves_the_tree_unchanged(schema, seed, prefix, algor
 
 @st.composite
 def nominal_block_schemas(draw):
-    """One to five nominal attributes, of two arities or more when there are
-    several, and up to three numeric ones, in a drawn order, over two to five
-    classes."""
-    arities = draw(st.lists(st.integers(2, 5), min_size=1, max_size=5))
+    """Up to five nominal attributes, of two arities or more when there are
+    several, and up to three numeric ones (one at least when no attribute is
+    nominal), in a drawn order, over two to five classes."""
+    arities = draw(st.lists(st.integers(2, 5), max_size=5))
     if len(arities) > 1 and len(set(arities)) == 1:
         arities[-1] = 2 + arities[0] % 4
-    kinds = draw(st.permutations(arities + [None] * draw(st.integers(0, 3))))
+    kinds = draw(st.permutations(arities + [None] * draw(st.integers(0 if arities else 1, 3))))
     attributes = tuple(
         Attribute.numeric(f"x{i}") if arity is None else Attribute.nominal(f"a{i}", arity)
         for i, arity in enumerate(kinds)
@@ -210,7 +208,7 @@ def test_nominal_block_matches_the_reference_and_survives_pickling(schema, seed,
     for leaf in learner.iter_leaves():
         nominal = [a for a in active(leaf) if schema.attributes[a].is_nominal]
         if not nominal:
-            assert leaf.nominal is None and "nominal" not in leaf.__getstate__()[1]
+            assert leaf.nominal is None
             continue
         arities = [schema.attributes[a].arity for a in nominal]
         assert leaf.nominal.num.shape == (sum(arities), schema.class_count)
@@ -222,6 +220,8 @@ def test_nominal_block_matches_the_reference_and_survives_pickling(schema, seed,
         leaf = learner.sort_to_leaf(probe)
         assert learner.predict(Instance(probe.values)) == reference_nb(leaf, probe.values)
     copy = pickle.loads(pickle.dumps(learner))
+    for leaf, twin in zip(learner.iter_leaves(), copy.iter_leaves()):
+        assert (twin.nominal is None) == (leaf.nominal is None)
     more = [valid_instance(schema, rng, informative) for _ in range(300)]
     assert [copy.train_one(i) for i in more] == [learner.train_one(i) for i in more]
     assert copy.split_log == learner.split_log

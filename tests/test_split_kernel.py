@@ -13,13 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
-from streamtree.core import (
-    Attribute,
-    ClassDistribution,
-    ContractViolation,
-    Schema,
-    entropy,
-)
+from streamtree.core import Attribute, ClassDistribution, Schema, entropy
 from streamtree.observers import (
     GaussianNumericObserver,
     SplitCandidate,
@@ -29,20 +23,21 @@ from streamtree.observers import (
 from streamtree.tree import HoeffdingTree, LeafNode
 
 
-def reference_best_split(obs: GaussianNumericObserver, pre_dist: ClassDistribution):
+def reference_best_split(attribute: int, obs: GaussianNumericObserver,
+                         pre_dist: ClassDistribution, bins: int):
     """One observer's best threshold, scored on its own."""
     lo, hi = obs.vmin, obs.vmax
     if not lo < hi:
         return None
     n_classes = len(obs.counts)
-    steps = np.arange(1, obs.bins + 1, dtype=float) / (obs.bins + 1)
+    steps = np.arange(1, bins + 1, dtype=float) / (bins + 1)
     thresholds = lo + (hi - lo) * steps
-    below = np.zeros((n_classes, obs.bins))
+    below = np.zeros((n_classes, bins))
     for c in range(n_classes):
         n_c = obs.counts[c]
         if n_c <= 0.0:
             continue
-        sd = math.sqrt(obs.variance(c))
+        sd = math.sqrt(obs.m2[c] / (n_c - 1.0)) if n_c > 1.0 else 0.0
         if sd == 0.0:
             below[c] = np.where(obs.means[c] <= thresholds, n_c, 0.0)
         else:
@@ -60,7 +55,19 @@ def reference_best_split(obs: GaussianNumericObserver, pre_dist: ClassDistributi
         ClassDistribution.from_weights(below[:, best]),
         ClassDistribution.from_weights(above[:, best]),
     ]
-    return SplitCandidate(obs.attribute, float(thresholds[best]), float(gains[best]), post)
+    return SplitCandidate(attribute, float(thresholds[best]), float(gains[best]), post)
+
+
+def observe_weighted(obs: GaussianNumericObserver, x: float, label: int, weight: float):
+    """``GaussianNumericObserver.observe`` with an instance weight: the weighted
+    Welford update, so states can hold counts below 1 or steps of 2."""
+    n = obs.counts[label] + weight
+    obs.counts[label] = n
+    delta = x - obs.means[label]
+    obs.means[label] += delta * weight / n
+    obs.m2[label] += weight * delta * (x - obs.means[label])
+    obs.vmin = min(obs.vmin, x)
+    obs.vmax = max(obs.vmax, x)
 
 
 def bits(candidate):
@@ -79,10 +86,11 @@ finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
 
 @st.composite
 def leaf_states(draw):
-    """Observers of one leaf fed the same labelled rows, plus the leaf's
-    observed distribution.  Columns are free floats, a few repeated values
-    (so some classes are point masses) or one constant; short rows leave
-    classes with count 0 or 1, and half weights leave counts below 1."""
+    """(attribute, observer) pairs of one leaf fed the same labelled rows,
+    the leaf's observed distribution and the bin count.  Columns are free
+    floats, a few repeated values (so some classes are point masses) or one
+    constant; short rows leave classes with count 0 or 1, and half weights
+    leave counts below 1."""
     n_classes = draw(st.integers(2, 5))
     bins = draw(st.integers(1, 100))
     kinds = draw(st.lists(st.sampled_from(["free", "few", "constant"]), min_size=1,
@@ -90,57 +98,58 @@ def leaf_states(draw):
     pools = [draw(st.lists(finite, min_size=1, max_size=1 if kind == "constant" else 3))
              for kind in kinds]
     n_rows = draw(st.integers(0, 40))
-    observers = [GaussianNumericObserver(a, n_classes, bins) for a in range(len(kinds))]
-    pre = ClassDistribution(n_classes)
+    pairs = [(a, GaussianNumericObserver(n_classes)) for a in range(len(kinds))]
+    pre = [0.0] * n_classes
     for _ in range(n_rows):
         label = draw(st.integers(0, n_classes - 1))
         weight = draw(st.sampled_from([1.0, 1.0, 0.5, 2.0]))
-        pre.add(label, weight)
-        for obs, kind, pool in zip(observers, kinds, pools):
+        pre[label] += weight
+        for (_, obs), kind, pool in zip(pairs, kinds, pools):
             x = draw(finite) if kind == "free" else draw(st.sampled_from(pool))
-            obs.observe(x, label, weight)
-    return observers, pre
+            observe_weighted(obs, x, label, weight)
+    return pairs, ClassDistribution.from_weights(pre), bins
 
 
 @settings(max_examples=300, deadline=None)
 @given(leaf_states())
 def test_kernel_matches_per_attribute_scoring_to_the_bit(state):
-    observers, pre = state
-    expected = [bits(reference_best_split(obs, pre)) for obs in observers]
-    assert [bits(c) for c in numeric_best_splits(observers, pre)] == expected
-    assert [bits(obs.best_split(pre)) for obs in observers] == expected
+    pairs, pre, bins = state
+    expected = [bits(reference_best_split(a, obs, pre, bins)) for a, obs in pairs]
+    assert [bits(c) for c in numeric_best_splits(pairs, pre, bins)] == expected
+    assert [bits(numeric_best_splits([pair], pre, bins)[0]) for pair in pairs] == expected
+
+
+def test_weighted_update_of_weight_one_is_observe():
+    rng = np.random.default_rng(3)
+    plain, weighted = GaussianNumericObserver(3), GaussianNumericObserver(3)
+    for x, label in zip(rng.normal(size=200).tolist(), rng.integers(0, 3, 200).tolist()):
+        plain.observe(x, label)
+        observe_weighted(weighted, x, label, 1.0)
+    assert [getattr(plain, f) for f in plain.__slots__] == (
+        [getattr(weighted, f) for f in weighted.__slots__])
 
 
 def test_point_mass_on_a_threshold_goes_below():
     # One threshold, at 1.0; class 1 is a point mass there, so "<=" sends it left.
-    obs = GaussianNumericObserver(0, 2, bins=1)
+    obs = GaussianNumericObserver(2)
     pre = ClassDistribution(2)
     for x, label in ((0.0, 0), (1.0, 1), (1.0, 1), (2.0, 0)):
         obs.observe(x, label)
         pre.add(label)
-    (cand,) = numeric_best_splits([obs], pre)
+    (cand,) = numeric_best_splits([(0, obs)], pre, 1)
     assert cand.threshold == 1.0
     assert cand.post_split[0].weights[1] == 2.0 and cand.post_split[1].weights[1] == 0.0
-    assert bits(cand) == bits(reference_best_split(obs, pre))
+    assert bits(cand) == bits(reference_best_split(0, obs, pre, 1))
 
 
 def test_no_live_observer_scores_nothing():
-    empty = GaussianNumericObserver(0, 2)
-    constant = GaussianNumericObserver(1, 2)
+    empty = GaussianNumericObserver(2)
+    constant = GaussianNumericObserver(2)
     constant.observe(4.0, 0)
     constant.observe(4.0, 1)
     pre = ClassDistribution.from_weights([1, 1])
-    assert numeric_best_splits([], pre) == []
-    assert numeric_best_splits([empty, constant], pre) == [None, None]
-
-
-def test_observers_with_different_bins_rejected():
-    observers = [GaussianNumericObserver(a, 2, bins) for a, bins in enumerate((10, 20))]
-    for obs in observers:
-        obs.observe(0.0, 0)
-        obs.observe(1.0, 1)
-    with pytest.raises(ContractViolation, match="share bins"):
-        numeric_best_splits(observers, ClassDistribution.from_weights([1, 1]))
+    assert numeric_best_splits([], pre, 100) == []
+    assert numeric_best_splits([(0, empty), (1, constant)], pre, 100) == [None, None]
 
 
 @pytest.mark.parametrize("kinds", [("numeric", "nominal", "numeric"),
@@ -166,7 +175,7 @@ def test_tied_merits_rank_in_attribute_order(kinds):
 def test_rank_skips_deactivated_and_unsplittable_attributes():
     schema = Schema((Attribute.numeric("x"), Attribute.nominal("a", 2),
                      Attribute.numeric("y"), Attribute.numeric("z")), 2)
-    leaf = LeafNode(0, schema, (0, 1, 2, 3), 10)
+    leaf = LeafNode(schema, (0, 1, 2, 3))
     for label in (0, 1) * 5:
         leaf.learn((label, label, 3.0, label * 2.0), label)
     leaf.disable_attribute(0)

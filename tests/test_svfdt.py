@@ -37,9 +37,8 @@ def dist_with_entropy(h_target: float, total: float) -> ClassDistribution:
 
 
 def make_leaf(leaf_id: int, h: float, total: float) -> LeafNode:
-    leaf = LeafNode(leaf_id, SCHEMA, (0, 1), 10)
+    leaf = LeafNode(SCHEMA, (0, 1))
     leaf.dist = dist_with_entropy(h, total)
-    leaf.weight_seen = leaf.dist.total
     assert entropy(leaf.dist) == pytest.approx(h, abs=1e-9)
     return leaf
 
@@ -173,9 +172,8 @@ class TestCanSplit:
     def test_snapshot_before_update_order(self):
         # Crafted trace where evaluating against the *updated* statistics
         # flips the outcome; the implementation must refuse (snapshot-first).
-        leaf = LeafNode(0, SCHEMA, (0, 1), 10)
+        leaf = LeafNode(SCHEMA, (0, 1))
         leaf.dist = ClassDistribution.from_weights([450, 50])
-        leaf.weight_seen = 500.0
         h_leaf = entropy(leaf.dist)  # ~0.469
         stats = primed_stats(hs=(1.0,), igs=(0.2,), ns=(100,))
         result = can_split([0.9, 0.0], 0.01, 0.0, leaf, [leaf], stats, 1)

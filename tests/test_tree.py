@@ -48,7 +48,7 @@ class TestRouting:
 
     def test_boundary_goes_left(self):
         tree = HoeffdingTree(TWO_NUMERIC)
-        left, right = tree.root, LeafNode(99, TWO_NUMERIC, (0, 1), 10)
+        left, right = tree.root, LeafNode(TWO_NUMERIC, (0, 1))
         tree.root = SplitNode(0, 5.0, [left, right])
         assert tree.sort_to_leaf(Instance((5.0, 0.0))) is left
         assert tree.sort_to_leaf(Instance((5.0001, 0.0))) is right
@@ -56,7 +56,7 @@ class TestRouting:
     def test_depth_two_tree_all_paths(self):
         # (x <= 1.0) then (y <= 2.0) on the left; a bare leaf on the right.
         tree = HoeffdingTree(TWO_NUMERIC)
-        leaves = [LeafNode(i, TWO_NUMERIC, (0, 1), 10) for i in range(3)]
+        leaves = [LeafNode(TWO_NUMERIC, (0, 1)) for _ in range(3)]
         inner = SplitNode(1, 2.0, [leaves[0], leaves[1]])
         tree.root = SplitNode(0, 1.0, [inner, leaves[2]])
         cases = {
@@ -70,7 +70,7 @@ class TestRouting:
 
     def test_nominal_fanout_routes_by_value(self):
         tree = HoeffdingTree(TWO_NOMINAL)
-        leaves = [LeafNode(i, TWO_NOMINAL, (1,), 10) for i in range(2)]
+        leaves = [LeafNode(TWO_NOMINAL, (1,)) for _ in range(2)]
         tree.root = SplitNode(0, None, leaves)
         assert tree.sort_to_leaf(Instance((0, 1))) is leaves[0]
         assert tree.sort_to_leaf(Instance((1, 0))) is leaves[1]
@@ -243,7 +243,7 @@ class TestTraining:
             with pytest.raises(ContractViolation):
                 tree.train_one(Instance(bad, 1))
         assert pickle.dumps(tree) == before
-        assert tree.root.dist.weights == [2.0, 1.0] and tree.root.weight_seen == 3.0
+        assert tree.root.dist.weights == [2.0, 1.0] and tree.root.dist.total == 3.0
 
     @pytest.mark.parametrize("mode", ["mc", "nb"])
     def test_value_of_a_deactivated_attribute_still_checked(self, mode):
@@ -270,8 +270,7 @@ class TestTraining:
             tree.train_one(inst)
         assert isinstance(tree.root, SplitNode)
         for child in tree.root.children:
-            assert child.weight_seen == pytest.approx(child.dist.total, rel=1e-9)
-            assert child.last_check_weight <= child.weight_seen
+            assert child.last_check_weight <= child.dist.total
             # the nominal split attribute is gone from the children
             assert active(child) == [1]
 
@@ -329,7 +328,7 @@ class TestSplitCondition:
 
 
 def make_leaf_with_observers(schema):
-    return LeafNode(0, schema, tuple(range(schema.n_attributes)), 10)
+    return LeafNode(schema, tuple(range(schema.n_attributes)))
 
 
 class TestFeatureSelection:
@@ -358,19 +357,19 @@ class TestTreeSize:
 
     def test_single_binary_split(self):
         tree = HoeffdingTree(TWO_NUMERIC)
-        tree.root = SplitNode(0, 1.0, [LeafNode(1, TWO_NUMERIC, (0, 1), 10),
-                                       LeafNode(2, TWO_NUMERIC, (0, 1), 10)])
+        tree.root = SplitNode(0, 1.0, [LeafNode(TWO_NUMERIC, (0, 1)),
+                                       LeafNode(TWO_NUMERIC, (0, 1))])
         assert tree.tree_size() == (3, 2, 1)
 
     def test_hand_built_three_splits(self):
         tree = HoeffdingTree(TWO_NUMERIC)
-        mk = lambda i: LeafNode(i, TWO_NUMERIC, (0, 1), 10)
+        mk = lambda: LeafNode(TWO_NUMERIC, (0, 1))
         tree.root = SplitNode(
             0,
             1.0,
             [
-                SplitNode(1, 2.0, [mk(1), SplitNode(0, 0.5, [mk(2), mk(3)])]),
-                mk(4),
+                SplitNode(1, 2.0, [mk(), SplitNode(0, 0.5, [mk(), mk()])]),
+                mk(),
             ],
         )
         # 3 split nodes + 4 leaves, longest path has 3 edges
