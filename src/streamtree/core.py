@@ -1,4 +1,4 @@
-"""Stream data model plus the entropy / information-gain / Hoeffding-bound formulas.
+"""Stream data model plus the entropy and Hoeffding-bound formulas.
 
 Everything downstream (attribute observers, tree learners, growth gates)
 works in terms of the types defined here.  All information measures are in
@@ -86,16 +86,19 @@ class Schema:
             (frozenset(range(k)), tuple if len(idx) == len(names) else itemgetter(*idx, idx[0]))
             for k, idx in groups.items()
         ))
+        object.__setattr__(self, "_numeric", tuple(
+            a for a, t in enumerate(self.attributes) if not t.is_nominal))
 
     @property
     def n_attributes(self) -> int:
         return len(self.attributes)
 
-    def __reduce__(self):  # pickles carry the fields, not ``_nominal``
+    def __reduce__(self):  # pickles carry the fields, not ``_nominal`` or ``_numeric``
         return (Schema, (self.attributes, self.class_count, self.class_names))
 
     def check_values(self, values) -> None:
-        """Admit one value per attribute, each nominal one a whole number in [0, arity)."""
+        """Admit one value per attribute, each nominal one a whole number in
+        [0, arity) and each numeric one a finite real number."""
         if len(values) != len(self.attributes):
             raise ContractViolation(
                 f"instance has {len(values)} values, schema expects {len(self.attributes)}"
@@ -108,6 +111,24 @@ class Schema:
                     f"nominal value {values[a]!r} out of range [0, {len(allowed)}) "
                     f"for attribute {self.attributes[a].name!r}"
                 )
+        if self._numeric:
+            # Admitted nominal values are finite, so one finite float sum admits
+            # every value; a sum that fails or overflows is settled value by value.
+            try:
+                if math.isfinite(sum(values, 0.0)):
+                    return
+            except (TypeError, OverflowError):
+                pass
+            for a in self._numeric:
+                try:
+                    if math.isfinite(values[a] + 0.0):
+                        continue
+                except (TypeError, OverflowError):  # not a number, or an int beyond floats
+                    pass
+                raise ContractViolation(
+                    f"numeric value {values[a]!r} is not a finite real number "
+                    f"for attribute {self.attributes[a].name!r}"
+                )
 
     def check_label(self, label) -> None:
         """Raise ContractViolation unless ``label`` is an int class index."""
@@ -117,11 +138,8 @@ class Schema:
             )
 
     def validate_instance(self, instance: "Instance") -> None:
-        """``check_values``, finite numeric values and ``check_label`` unless unlabelled."""
+        """``check_values`` and, unless unlabelled, ``check_label``."""
         self.check_values(instance.values)
-        for attr, value in zip(self.attributes, instance.values):
-            if not attr.is_nominal and not math.isfinite(value):
-                raise ContractViolation(f"non-finite value for numeric attribute {attr.name!r}")
         if instance.label is not None:
             self.check_label(instance.label)
 
@@ -191,17 +209,13 @@ class ClassDistribution:
         return f"ClassDistribution({self.weights!r})"
 
 
-def _weights_of(dist) -> list[float]:
-    return dist.weights if isinstance(dist, ClassDistribution) else list(dist)
-
-
 def entropy(dist) -> float:
     """Shannon entropy in bits of a class distribution (or raw weight sequence).
 
     Zero-weight classes contribute nothing (0*log 0 := 0); an empty or
     all-zero distribution has entropy 0.
     """
-    weights = _weights_of(dist)
+    weights = dist.weights if isinstance(dist, ClassDistribution) else list(dist)
     total = dist.total if isinstance(dist, ClassDistribution) else math.fsum(weights)
     if total <= 0.0:
         return 0.0
@@ -212,31 +226,6 @@ def entropy(dist) -> float:
             if p > 0.0:  # guards subnormal weights that underflow to 0
                 h -= p * math.log(p)
     return h / _LOG2
-
-
-def information_gain(pre, partitions) -> float:
-    """Entropy reduction of splitting ``pre`` into ``partitions``, in bits.
-
-    The partitions must exactly re-distribute ``pre``'s weight (their totals
-    must sum to pre's total within 1e-6 relative); empty partitions
-    contribute zero.
-    """
-    pre_weights = _weights_of(pre)
-    pre_total = math.fsum(pre_weights)
-    part_weights = [_weights_of(p) for p in partitions]
-    part_totals = [math.fsum(ws) for ws in part_weights]
-    combined = math.fsum(part_totals)
-    if abs(combined - pre_total) > 1e-6 * max(abs(pre_total), abs(combined), 1e-300):
-        raise ContractViolation(
-            f"partition totals {combined!r} do not match pre-split total {pre_total!r}"
-        )
-    if pre_total <= 0.0:
-        return 0.0
-    gain = entropy(pre_weights)
-    for ws, total in zip(part_weights, part_totals):
-        if total > 0.0:
-            gain -= (total / pre_total) * entropy(ws)
-    return gain
 
 
 def hoeffding_bound(value_range: float, delta: float, n: float) -> float:

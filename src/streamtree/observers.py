@@ -1,16 +1,16 @@
 """Per-leaf attribute statistics and split-candidate enumeration.
 
 A leaf keeps the exact per-value class counts of all its nominal
-attributes in one array block; each numeric attribute keeps one running
-Gaussian per class (one-pass mean/variance) plus the global observed
-range, and candidate thresholds are scored through the class-conditional
-normal CDF.
+attributes in one array block, and one running Gaussian per class
+(one-pass mean/variance) plus the observed range of all its numeric
+attributes in another; candidate thresholds are scored through the
+class-conditional normal CDF.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, repeat
 from math import exp, sqrt
 
 import numpy as np
@@ -123,102 +123,118 @@ class NominalObserver:
 
 
 class GaussianNumericObserver:
-    """Class-conditional running Gaussians for one numeric attribute: per
-    class the count, mean and sum of squared deviations (Welford), plus the
-    observed range.  The leaf pairs it with its attribute index.
+    """Class-conditional running Gaussians of every active numeric attribute
+    of one leaf: per class c and attribute column j the mean ``means[c][j]``
+    and sum of squared deviations ``m2[c][j]`` (Welford), plus each column's
+    observed range ``vmin[j]``/``vmax[j]``.  Every column sees every
+    instance the leaf learns, so the count of class c is the leaf's
+    observed weight of c, which ``learn`` and ``best_split`` are handed.
     """
 
-    __slots__ = ("counts", "means", "m2", "vmin", "vmax")
+    __slots__ = ("attributes", "means", "m2", "vmin", "vmax")
 
-    def __init__(self, n_classes: int):
-        self.counts = [0.0] * n_classes
-        self.means = [0.0] * n_classes
-        self.m2 = [0.0] * n_classes
-        self.vmin = math.inf
-        self.vmax = -math.inf
+    def __init__(self, attributes, n_classes: int):
+        self.attributes = list(attributes)
+        width = len(self.attributes)
+        self.means = [[0.0] * width for _ in range(n_classes)]
+        self.m2 = [[0.0] * width for _ in range(n_classes)]
+        self.vmin = [math.inf] * width
+        self.vmax = [-math.inf] * width
 
-    def observe(self, value, class_index: int) -> None:
-        x = float(value)
-        n = self.counts[class_index] + 1.0
-        self.counts[class_index] = n
-        delta = x - self.means[class_index]
-        self.means[class_index] += delta / n
-        self.m2[class_index] += delta * (x - self.means[class_index])
-        if x < self.vmin:
-            self.vmin = x
-        if x > self.vmax:
-            self.vmax = x
+    def learn(self, values, class_index: int, n: float) -> None:
+        """Absorb one instance of the class; ``n`` is the class's count with it."""
+        means, m2, vmin, vmax = self.means[class_index], self.m2[class_index], self.vmin, self.vmax
+        for j, a in enumerate(self.attributes):
+            x = values[a]
+            delta = x - means[j]
+            means[j] = mean = means[j] + delta / n
+            m2[j] += delta * (x - mean)
+            if x < vmin[j]:
+                vmin[j] = float(x)
+            if x > vmax[j]:
+                vmax[j] = float(x)
 
-    def nb_likelihood(self, value, class_index: int) -> float:
-        """Gaussian density of ``value`` under the class; point mass if variance is 0."""
-        n = self.counts[class_index]
-        if n <= 0.0:
-            return 1.0
-        diff = float(value) - self.means[class_index]
-        if n > 1.0:
-            var = self.m2[class_index] / (n - 1.0)
-            if var > 0.0:
-                return exp(-diff * diff / (2.0 * var)) / sqrt(_TWO_PI * var)
-        return 1.0 if abs(diff) <= _POINT_MASS_TOL else 0.0
+    def likelihoods(self, values, counts, out: np.ndarray) -> None:
+        """Write each attribute's Gaussian density row of ``values`` into ``out``,
+        in order; ``counts`` are the leaf's observed class weights."""
+        xs = [values[a] for a in self.attributes]
+        out.T[...] = [list(map(_density, xs, repeat(n), means, m2))
+                      for n, means, m2 in zip(counts, self.means, self.m2)]
+
+    def without(self, attribute: int) -> GaussianNumericObserver | None:
+        """Delete ``attribute``'s column in place; this block, or None when none is left."""
+        j = self.attributes.index(attribute)
+        for column in (self.attributes, self.vmin, self.vmax, *self.means, *self.m2):
+            del column[j]
+        return self if self.attributes else None
+
+    def best_split(self, pre_dist: ClassDistribution, bins: int) -> list[SplitCandidate]:
+        """Best threshold candidate of each attribute, in one pass; ``pre_dist``
+        is what the leaf observed, and the thresholds are ``bins`` equally
+        spaced points strictly between a column's min and max.
+
+        A column with no observations or one repeated value has no
+        candidate.  Every float is computed by the same elementwise operation as
+        scoring the attributes one at a time, and the class sums run over a
+        contiguous leading class axis in class order, so the candidates do
+        not depend on which other attributes are scored.
+        """
+        lo, hi = np.array(self.vmin), np.array(self.vmax)
+        live = np.flatnonzero(lo < hi)
+        if not live.size:
+            return []
+        lo, hi = lo[live], hi[live]
+        means = np.array(self.means)[:, live]  # (classes, attributes)
+        m2 = np.array(self.m2)[:, live]
+        counts = np.array(pre_dist.weights)[:, None]
+        steps = np.arange(1, bins + 1, dtype=float) / (bins + 1)
+        thresholds = lo[:, None] + (hi - lo)[:, None] * steps  # (attributes, bins)
+
+        sd = np.sqrt(np.divide(m2, counts - 1.0, out=np.zeros_like(m2), where=counts > 1.0))
+        # (classes, attributes, 1) against (attributes, bins): each side's weight is
+        # the class count scaled by the normal CDF, or a point mass where sd is 0.
+        # An unseen class has count 0 and sd 0, so it puts no weight on either side.
+        n_c, mu, sd = counts[:, :, None], means[:, :, None], sd[:, :, None]
+        spread = sd > 0.0
+        below = np.where(
+            spread,
+            n_c * ndtr((thresholds - mu) / np.where(spread, sd, 1.0)),
+            np.where(mu <= thresholds, n_c, 0.0),
+        )
+        above = n_c - below
+
+        n = pre_dist.total
+        gains = (
+            entropy(pre_dist)
+            - _column_entropies(below) * (below.sum(axis=0) / n)
+            - _column_entropies(above) * (above.sum(axis=0) / n)
+        )
+        rows = np.arange(live.size)
+        best = gains.argmax(axis=1)
+        picked = zip(
+            live.tolist(),
+            thresholds[rows, best].tolist(),
+            gains[rows, best].tolist(),
+            below[:, rows, best].T.tolist(),
+            above[:, rows, best].T.tolist(),
+        )
+        candidates = []
+        for j, threshold, merit, left, right in picked:
+            post = [ClassDistribution.from_weights(left), ClassDistribution.from_weights(right)]
+            candidates.append(SplitCandidate(self.attributes[j], threshold, merit, post))
+        return candidates
 
 
-def numeric_best_splits(pairs, pre_dist: ClassDistribution,
-                        bins: int) -> list[SplitCandidate | None]:
-    """Best threshold candidate of each (attribute, Gaussian observer) pair of
-    one leaf, in one pass; the thresholds are ``bins`` equally spaced points
-    strictly between an observer's min and max.
-
-    Entry i is None when pair i has no observations or one repeated value.
-    Every float is computed by the same elementwise operation as scoring the
-    observers one at a time, and the class sums run over a contiguous leading
-    class axis in class order, so the candidates do not depend on which other
-    observers are scored.
-    """
-    results: list[SplitCandidate | None] = [None] * len(pairs)
-    live = [i for i, (_, obs) in enumerate(pairs) if obs.vmin < obs.vmax]
-    if not live:
-        return results
-    observers = [pairs[i][1] for i in live]
-    lo = np.array([obs.vmin for obs in observers])
-    hi = np.array([obs.vmax for obs in observers])
-    counts = np.array([obs.counts for obs in observers])  # (attributes, classes)
-    means = np.array([obs.means for obs in observers])
-    m2 = np.array([obs.m2 for obs in observers])
-    steps = np.arange(1, bins + 1, dtype=float) / (bins + 1)
-    thresholds = lo[:, None] + (hi - lo)[:, None] * steps  # (attributes, bins)
-
-    sd = np.sqrt(np.divide(m2, counts - 1.0, out=np.zeros_like(m2), where=counts > 1.0))
-    # (classes, attributes, 1) against (attributes, bins): each side's weight is
-    # the class count scaled by the normal CDF, or a point mass where sd is 0.
-    # An unseen class has count 0 and sd 0, so it puts no weight on either side.
-    n_c, mu, sd = (x.T[:, :, None] for x in (counts, means, sd))
-    spread = sd > 0.0
-    below = np.where(
-        spread,
-        n_c * ndtr((thresholds - mu) / np.where(spread, sd, 1.0)),
-        np.where(mu <= thresholds, n_c, 0.0),
-    )
-    above = n_c - below
-
-    n = pre_dist.total
-    gains = (
-        entropy(pre_dist)
-        - _column_entropies(below) * (below.sum(axis=0) / n)
-        - _column_entropies(above) * (above.sum(axis=0) / n)
-    )
-    rows = np.arange(len(live))
-    best = gains.argmax(axis=1)
-    picked = zip(
-        live,
-        thresholds[rows, best].tolist(),
-        gains[rows, best].tolist(),
-        below[:, rows, best].T.tolist(),
-        above[:, rows, best].T.tolist(),
-    )
-    for i, threshold, merit, left, right in picked:
-        post = [ClassDistribution.from_weights(left), ClassDistribution.from_weights(right)]
-        results[i] = SplitCandidate(pairs[i][0], threshold, merit, post)
-    return results
+def _density(x, n: float, mean: float, m2: float) -> float:
+    """Gaussian density of ``x`` for a class of count n; point mass if variance is 0."""
+    if n <= 0.0:
+        return 1.0
+    diff = x - mean
+    if n > 1.0:
+        var = m2 / (n - 1.0)
+        if var > 0.0:
+            return exp(-diff * diff / (2.0 * var)) / sqrt(_TWO_PI * var)
+    return 1.0 if abs(diff) <= _POINT_MASS_TOL else 0.0
 
 
 def _column_entropies(matrix: np.ndarray) -> np.ndarray:

@@ -150,13 +150,5 @@ class StrictHoeffdingTree(HoeffdingTree):
         super().__init__(schema, config)
 
     def _should_split(self, leaf: LeafNode, rank: list[SplitCandidate], epsilon: float) -> bool:
-        merits = [c.merit for c in rank]
-        return can_split(
-            merits,
-            epsilon,
-            self.config.tiebreak,
-            leaf,
-            self.iter_leaves(),
-            self.growth,
-            self.variant,
-        )
+        return can_split([c.merit for c in rank], epsilon, self.config.tiebreak, leaf,
+                         self.iter_leaves(), self.growth, self.variant)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ClassDistribution, ConfigError, Instance, Schema, hoeffding_bound
-from .observers import GaussianNumericObserver, NominalObserver, SplitCandidate, numeric_best_splits
+from .observers import GaussianNumericObserver, NominalObserver, SplitCandidate
 
 LEAF_PREDICTION_MODES = ("mc", "nb")
 MERIT_RANGE_MODES = ("unit", "log2c")
@@ -66,14 +66,14 @@ class LeafNode:
     ``dist`` includes the weight inherited from the parent's post-split
     estimate, and its total is the leaf's weight; ``observed`` counts only
     instances this leaf has actually seen, which is exactly the population
-    the observers describe.
-    ``observers`` lists the (attribute, observer) pairs of the active
-    numeric attributes in attribute order; ``nominal`` holds the counts of
-    every active nominal attribute, or None when there is none.
-    Deactivating an attribute drops its pair or its rows.
+    the observers describe, so its weights are their class counts.
+    ``numeric`` holds the running Gaussians of every active numeric
+    attribute and ``nominal`` the counts of every active nominal one; each
+    is None when the leaf has no such attribute.  Deactivating an attribute
+    drops its column or its rows.
     """
 
-    __slots__ = ("dist", "observed", "observers", "available", "last_check_weight", "nominal")
+    __slots__ = ("dist", "observed", "numeric", "available", "last_check_weight", "nominal")
 
     def __init__(self, schema: Schema, available: tuple[int, ...],
                  initial_dist: ClassDistribution | None = None):
@@ -81,8 +81,8 @@ class LeafNode:
         self.dist = initial_dist.copy() if initial_dist is not None else ClassDistribution(k)
         self.observed = ClassDistribution(k)
         self.available = available
-        self.observers = [(a, GaussianNumericObserver(k))
-                          for a in available if not schema.attributes[a].is_nominal]
+        numeric = [a for a in available if not schema.attributes[a].is_nominal]
+        self.numeric = GaussianNumericObserver(numeric, k) if numeric else None
         nominal = [a for a in available if schema.attributes[a].is_nominal]
         arities = [schema.attributes[a].arity for a in nominal]
         self.nominal = NominalObserver(nominal, arities, k) if nominal else None
@@ -91,16 +91,16 @@ class LeafNode:
     def learn(self, values, label: int) -> None:
         self.dist.add(label)
         self.observed.add(label)
-        for a, obs in self.observers:
-            obs.observe(values[a], label)
+        if self.numeric is not None:
+            self.numeric.learn(values, label, self.observed.weights[label])
         if self.nominal is not None:
             self.nominal.learn(values, label)
 
     def disable_attribute(self, attribute: int) -> None:
         if self.nominal is not None and attribute in self.nominal.attributes:
             self.nominal = self.nominal.without(attribute)
-        else:
-            self.observers = [(a, obs) for a, obs in self.observers if a != attribute]
+        elif self.numeric is not None and attribute in self.numeric.attributes:
+            self.numeric = self.numeric.without(attribute)
 
     def __repr__(self) -> str:
         return f"LeafNode(n={self.dist.total:.1f})"
@@ -214,8 +214,8 @@ class HoeffdingTree:
 
     def _predict_leaf(self, leaf: LeafNode, values) -> tuple[int, list[float]]:
         dist = leaf.dist
-        k = len(dist)
         if dist.total <= 0.0:
+            k = len(dist)
             return 0, [1.0 / k] * k
         if self.config.leaf_prediction == "mc":
             scores = [w / dist.total for w in dist.weights]
@@ -229,19 +229,18 @@ class HoeffdingTree:
         finite likelihoods; ``np.multiply.reduce`` multiplies the rows in
         turn, so a score has the bits of the product taken factor by factor.
         """
-        dist, nominal, numeric = leaf.dist, leaf.nominal, leaf.observers
-        k = len(dist)
+        dist, nominal, numeric = leaf.dist, leaf.nominal, leaf.numeric
         attrs = nominal.attributes if nominal is not None else ()
-        factors = np.empty((1 + len(attrs) + len(numeric), k))
+        numeric_attrs = numeric.attributes if numeric is not None else []
+        factors = np.empty((1 + len(attrs) + len(numeric_attrs), len(dist)))
         np.divide(dist.weights, dist.total, out=factors[0])
         if nominal is not None:
             nominal.likelihoods(values, factors[1:1 + len(attrs)])
-        if not numeric:  # no factor exceeds 1, so the product cannot overflow
+        if numeric is None:  # no factor exceeds 1, so the product cannot overflow
             scores = np.multiply.reduce(factors, axis=0).tolist()
         else:
-            for r, (a, obs) in enumerate(numeric, start=1 + len(attrs)):
-                factors[r] = [obs.nb_likelihood(values[a], c) for c in range(k)]
-            order = np.argsort(attrs + tuple(a for a, _ in numeric)) + 1  # attribute order
+            numeric.likelihoods(values, leaf.observed.weights, factors[1 + len(attrs):])
+            order = np.argsort([*attrs, *numeric_attrs]) + 1  # attribute order
             with np.errstate(over="ignore", invalid="ignore"):  # a density may exceed 1
                 scores = np.multiply.reduce(factors[[0, *order]], axis=0).tolist()
         total = math.fsum(scores)
@@ -280,10 +279,11 @@ class HoeffdingTree:
 
     def _rank_candidates(self, leaf: LeafNode) -> list[SplitCandidate]:
         pre = leaf.observed
-        scored = numeric_best_splits(leaf.observers, pre, self.config.numeric_bins)
+        numeric = leaf.numeric
+        scored = numeric.best_split(pre, self.config.numeric_bins) if numeric is not None else []
         if leaf.nominal is not None:
             scored += leaf.nominal.best_split(pre)
-        return sorted((c for c in scored if c is not None), key=lambda c: (-c.merit, c.attribute))
+        return sorted(scored, key=lambda c: (-c.merit, c.attribute))
 
     def _attempt_split(self, leaf: LeafNode, parent, branch: int) -> None:
         rank = self._rank_candidates(leaf)
@@ -298,8 +298,7 @@ class HoeffdingTree:
             feature_selection(rank, epsilon, leaf)
 
     def _should_split(self, leaf: LeafNode, rank: list[SplitCandidate], epsilon: float) -> bool:
-        merits = [c.merit for c in rank]
-        return vfdt_split_condition(merits, epsilon, self.config.tiebreak)
+        return vfdt_split_condition([c.merit for c in rank], epsilon, self.config.tiebreak)
 
     def _split(self, leaf: LeafNode, parent, branch: int, winner: SplitCandidate) -> None:
         if winner.is_nominal:

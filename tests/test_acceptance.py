@@ -18,7 +18,7 @@ import statistics
 
 import pytest
 
-from streamtree.core import ClassDistribution, entropy, hoeffding_bound, information_gain
+from streamtree.core import ClassDistribution, entropy, hoeffding_bound
 from streamtree.evaluation import kappa_m
 from streamtree.experiment import (
     ExperimentConfig,
@@ -29,6 +29,7 @@ from streamtree.experiment import (
 from streamtree.streams import LedStream, SeaStream
 from streamtree.svfdt import can_split
 from streamtree.tree import LeafNode, TreeConfig
+from test_core import information_gain
 
 N_INSTANCES = 200_000
 SEEDS = (1, 2, 3, 4, 5)

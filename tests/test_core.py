@@ -1,6 +1,8 @@
 import math
 import pickle
 import random
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -15,8 +17,37 @@ from streamtree.core import (
     Schema,
     entropy,
     hoeffding_bound,
-    information_gain,
 )
+
+
+def information_gain(pre, partitions) -> float:
+    """Entropy reduction of splitting ``pre`` into ``partitions``, in bits.
+
+    The reference formula that split scoring must agree with.  The
+    partitions must exactly re-distribute ``pre``'s weight (their totals
+    must sum to pre's total within 1e-6 relative); empty partitions
+    contribute zero.
+    """
+    pre_weights = weights_of(pre)
+    pre_total = math.fsum(pre_weights)
+    part_weights = [weights_of(p) for p in partitions]
+    part_totals = [math.fsum(ws) for ws in part_weights]
+    combined = math.fsum(part_totals)
+    if abs(combined - pre_total) > 1e-6 * max(abs(pre_total), abs(combined), 1e-300):
+        raise ContractViolation(
+            f"partition totals {combined!r} do not match pre-split total {pre_total!r}"
+        )
+    if pre_total <= 0.0:
+        return 0.0
+    gain = entropy(pre_weights)
+    for ws, total in zip(part_weights, part_totals):
+        if total > 0.0:
+            gain -= (total / pre_total) * entropy(ws)
+    return gain
+
+
+def weights_of(dist) -> list[float]:
+    return dist.weights if isinstance(dist, ClassDistribution) else list(dist)
 
 
 def brute_entropy(weights):
@@ -257,6 +288,23 @@ class TestSchema:
             schema.check_values((bad, 0.5))
         with pytest.raises(ContractViolation, match="out of range"):
             schema.validate_instance(Instance((bad, 0.5), 0))
+
+    @pytest.mark.parametrize("bad", ["abc", None, math.nan, math.inf, -math.inf, 10**400,
+                                     complex(1, 0), Decimal("1.5"), [0.5]])
+    def test_numeric_value_that_is_not_a_finite_real_rejected(self, bad):
+        message = r"not a finite real number for attribute 'size'"
+        with pytest.raises(ContractViolation, match=message):
+            self.make().check_values((2, bad))
+        with pytest.raises(ContractViolation, match=message):
+            self.make().validate_instance(Instance((2, bad), 0))
+
+    @pytest.mark.parametrize("value", [0, 7, 1.5, -1e308, 10**300, Fraction(1, 3)])
+    def test_finite_real_numeric_values_admitted(self, value):
+        self.make().check_values((2, value))
+        # The finite values of this instance overflow their sum.
+        two = Schema((Attribute.numeric("x"), Attribute.numeric("y")), 2)
+        two.check_values((1e308, 1e308))
+        two.check_values((1e308, value))
 
     @pytest.mark.parametrize("values", [(), (2,), (2, 0.5, 1)])
     def test_wrong_number_of_values_rejected(self, values):

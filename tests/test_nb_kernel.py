@@ -73,9 +73,29 @@ def nominal_likelihood(block, a, value, c):
     return (row[int(value)] + 1.0) / (sum(row) + block.arities[i])
 
 
+def gaussian_likelihood(leaf, a, value, c):
+    """Gaussian density of ``value`` under class c for numeric attribute ``a``;
+    a point mass where the variance is 0, and 1 for a class the leaf has not
+    observed.  The class count is the leaf's observed weight."""
+    block = leaf.numeric
+    j = block.attributes.index(a)
+    n = leaf.observed.weights[c]
+    if n <= 0.0:
+        return 1.0
+    diff = float(value) - block.means[c][j]
+    if n > 1.0:
+        var = block.m2[c][j] / (n - 1.0)
+        if var > 0.0:
+            return math.exp(-diff * diff / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
+    return 1.0 if abs(diff) <= 1e-9 else 0.0
+
+
 def likelihoods(leaf):
     """(attribute, P(value | class) function) of each active attribute, in attribute order."""
-    pairs = [(a, obs.nb_likelihood) for a, obs in leaf.observers]
+    pairs = []
+    if leaf.numeric is not None:
+        pairs += [(a, lambda v, c, a=a: gaussian_likelihood(leaf, a, v, c))
+                  for a in leaf.numeric.attributes]
     if leaf.nominal is not None:
         pairs += [(a, lambda v, c, a=a: nominal_likelihood(leaf.nominal, a, v, c))
                   for a in leaf.nominal.attributes]

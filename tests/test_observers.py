@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamtree.core import ClassDistribution, entropy, information_gain
-from streamtree.observers import GaussianNumericObserver, NominalObserver, numeric_best_splits
+from streamtree.core import ClassDistribution, entropy
+from streamtree.observers import GaussianNumericObserver, NominalObserver
+from test_core import information_gain
 
 
 class TestNominalObserver:
@@ -76,15 +77,55 @@ class TestNominalObserver:
         assert copy.num.tolist() == obs.num.tolist() and copy.den.tolist() == obs.den.tolist()
 
 
-def variance(obs: GaussianNumericObserver, c: int) -> float:
-    """Unbiased variance of class c; zero until two observations exist."""
-    n = obs.counts[c]
-    return obs.m2[c] / (n - 1.0) if n > 1.0 else 0.0
+class GaussianOracle:
+    """One numeric attribute's class-conditional running Gaussians, updated
+    one attribute at a time with its own class counts: the per-attribute
+    observer that ``GaussianNumericObserver`` replaced, kept as its oracle.
+    """
+
+    def __init__(self, n_classes: int):
+        self.counts = [0.0] * n_classes
+        self.means = [0.0] * n_classes
+        self.m2 = [0.0] * n_classes
+        self.vmin = math.inf
+        self.vmax = -math.inf
+
+    def observe(self, value, class_index: int) -> None:
+        x = float(value)
+        n = self.counts[class_index] + 1.0
+        self.counts[class_index] = n
+        delta = x - self.means[class_index]
+        self.means[class_index] += delta / n
+        self.m2[class_index] += delta * (x - self.means[class_index])
+        if x < self.vmin:
+            self.vmin = x
+        if x > self.vmax:
+            self.vmax = x
 
 
-def best_split(obs: GaussianNumericObserver, pre: ClassDistribution, bins: int = 100):
-    """The observer's candidate, scored alone as attribute 0."""
-    return numeric_best_splits([(0, obs)], pre, bins)[0]
+class Column:
+    """A one-attribute block and the class counts of what it has learned."""
+
+    def __init__(self, n_classes: int):
+        self.block = GaussianNumericObserver((0,), n_classes)
+        self.pre = ClassDistribution(n_classes)
+
+    def observe(self, x, c: int) -> None:
+        self.pre.add(c)
+        self.block.learn((x,), c, self.pre.weights[c])
+
+    def mean(self, c: int) -> float:
+        return self.block.means[c][0]
+
+    def variance(self, c: int) -> float:
+        """Unbiased variance of class c; zero until two observations exist."""
+        n = self.pre.weights[c]
+        return self.block.m2[c][0] / (n - 1.0) if n > 1.0 else 0.0
+
+    def best_split(self, bins: int = 100):
+        """The column's candidate, attribute 0, or None."""
+        candidates = self.block.best_split(self.pre, bins)
+        return candidates[0] if candidates else None
 
 
 def batch_mean_variance(xs):
@@ -101,124 +142,186 @@ class TestGaussianObserver:
     BINS = 20  # of the random observers
 
     def test_mean_and_sample_variance(self):
-        obs = GaussianNumericObserver(n_classes=2)
+        obs = Column(n_classes=2)
         for x in (1, 2, 3, 4, 5):
             obs.observe(x, 0)
-        assert obs.means[0] == pytest.approx(3.0)
-        assert variance(obs, 0) == pytest.approx(2.5)
+        assert obs.mean(0) == pytest.approx(3.0)
+        assert obs.variance(0) == pytest.approx(2.5)
 
     def test_single_value_has_zero_variance(self):
-        obs = GaussianNumericObserver(n_classes=2)
+        obs = Column(n_classes=2)
         obs.observe(4.2, 1)
-        assert variance(obs, 1) == 0.0
+        assert obs.variance(1) == 0.0
 
     @given(st.lists(st.floats(min_value=-1e4, max_value=1e4), min_size=1, max_size=300))
     def test_matches_two_pass_batch(self, xs):
-        obs = GaussianNumericObserver(n_classes=1)
+        obs = Column(n_classes=1)
         for x in xs:
             obs.observe(x, 0)
         mean, var = batch_mean_variance(xs)
-        assert obs.means[0] == pytest.approx(mean, rel=1e-9, abs=1e-9)
-        assert variance(obs, 0) == pytest.approx(var, rel=1e-9, abs=1e-6)
+        assert obs.mean(0) == pytest.approx(mean, rel=1e-9, abs=1e-9)
+        assert obs.variance(0) == pytest.approx(var, rel=1e-9, abs=1e-6)
 
     def test_long_sequence_matches_batch(self):
         rng = random.Random(42)
         xs = [rng.gauss(10.0, 3.0) for _ in range(100_000)]
-        obs = GaussianNumericObserver(n_classes=1)
+        obs = Column(n_classes=1)
         for x in xs:
             obs.observe(x, 0)
         mean, var = batch_mean_variance(xs)
-        assert obs.means[0] == pytest.approx(mean, rel=1e-9)
-        assert variance(obs, 0) == pytest.approx(var, rel=1e-9)
+        assert obs.mean(0) == pytest.approx(mean, rel=1e-9)
+        assert obs.variance(0) == pytest.approx(var, rel=1e-9)
 
     def test_well_separated_classes_recover_full_entropy(self):
         rng = random.Random(7)
-        obs = GaussianNumericObserver(n_classes=2)
-        pre = ClassDistribution(2)
+        obs = Column(n_classes=2)
         for _ in range(200):
-            x0 = rng.gauss(-10.0, 1.0)
-            obs.observe(x0, 0)
-            pre.add(0)
-            x1 = rng.gauss(10.0, 1.0)
-            obs.observe(x1, 1)
-            pre.add(1)
-        cand = best_split(obs, pre)
+            obs.observe(rng.gauss(-10.0, 1.0), 0)
+            obs.observe(rng.gauss(10.0, 1.0), 1)
+        cand = obs.best_split()
         assert cand is not None
         assert abs(cand.threshold) < 5.0
-        assert cand.merit == pytest.approx(entropy(pre), abs=0.05)
+        assert cand.merit == pytest.approx(entropy(obs.pre), abs=0.05)
 
     def test_zero_range_absent(self):
-        obs = GaussianNumericObserver(n_classes=2)
+        obs = Column(n_classes=2)
         for _ in range(10):
             obs.observe(3.0, 0)
             obs.observe(3.0, 1)
-        assert best_split(obs, ClassDistribution.from_weights([10, 10])) is None
+        assert obs.best_split() is None
 
     def test_unseen_class_contributes_no_weight(self):
-        obs = GaussianNumericObserver(n_classes=2)
+        obs = Column(n_classes=2)
         for x in (1.0, 2.0, 3.0):
             obs.observe(x, 0)
-        cand = best_split(obs, ClassDistribution.from_weights([3, 0]))
+        cand = obs.best_split()
         for branch in cand.post_split:
             assert branch.weights[1] == 0.0
 
     def test_zero_variance_point_mass_sides(self):
-        obs = GaussianNumericObserver(n_classes=2)
+        obs = Column(n_classes=2)
         for _ in range(5):
             obs.observe(0.0, 0)
             obs.observe(10.0, 1)
-        cand = best_split(obs, ClassDistribution.from_weights([5, 5]), bins=9)
+        cand = obs.best_split(bins=9)
         # Point masses sit entirely on one side of the best threshold.
         assert cand.merit == pytest.approx(1.0)
         assert cand.post_split[0].weights == [5.0, 0.0]
         assert cand.post_split[1].weights == [0.0, 5.0]
 
     def _random_observer(self, rng, n_classes=3):
-        obs = GaussianNumericObserver(n_classes=n_classes)
-        pre = ClassDistribution(n_classes)
+        obs = Column(n_classes=n_classes)
         for _ in range(rng.randrange(5, 80)):
             c = rng.randrange(n_classes)
             obs.observe(rng.gauss(c * 2.0, 1.0 + c), c)
-            pre.add(c)
-        return obs, pre
+        return obs
 
     @given(st.integers())
     @settings(max_examples=40)
     def test_branch_weights_match_pre_split(self, seed):
-        obs, pre = self._random_observer(random.Random(seed))
-        cand = best_split(obs, pre, self.BINS)
+        obs = self._random_observer(random.Random(seed))
+        cand = obs.best_split(self.BINS)
         if cand is None:
             return
         for c in range(3):
             total = sum(branch.weights[c] for branch in cand.post_split)
-            assert total == pytest.approx(pre.weights[c], rel=1e-6, abs=1e-9)
+            assert total == pytest.approx(obs.pre.weights[c], rel=1e-6, abs=1e-9)
 
     @given(st.integers())
     @settings(max_examples=25)
     def test_merit_is_argmax_over_thresholds(self, seed):
         rng = random.Random(seed)
-        obs, pre = self._random_observer(rng)
-        cand = best_split(obs, pre, self.BINS)
+        obs = self._random_observer(rng)
+        cand = obs.best_split(self.BINS)
         if cand is None:
             return
-        lo, hi = obs.vmin, obs.vmax
+        lo, hi = obs.block.vmin[0], obs.block.vmax[0]
         for i in range(1, self.BINS + 1):
             threshold = lo + (hi - lo) * i / (self.BINS + 1)
             below = []
             above = []
             for c in range(3):
-                n_c = obs.counts[c]
+                n_c = obs.pre.weights[c]
                 if n_c == 0:
                     below.append(0.0)
                     above.append(0.0)
                     continue
-                sd = math.sqrt(variance(obs, c))
+                sd = math.sqrt(obs.variance(c))
                 if sd == 0.0:
-                    frac = 1.0 if obs.means[c] <= threshold else 0.0
+                    frac = 1.0 if obs.mean(c) <= threshold else 0.0
                 else:
-                    z = (threshold - obs.means[c]) / sd
+                    z = (threshold - obs.mean(c)) / sd
                     frac = 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
                 below.append(n_c * frac)
                 above.append(n_c * (1.0 - frac))
-            merit = information_gain(pre, [below, above])
+            merit = information_gain(obs.pre, [below, above])
             assert cand.merit >= merit - 1e-9
+
+
+values_in_range = st.one_of(
+    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+    st.integers(-1000, 1000),
+    st.sampled_from([0.0, -0.0, 1.0]),
+)
+
+
+@st.composite
+def block_histories(draw):
+    """Attributes, class count and a history of learned rows, deactivations
+    of one active attribute and pickle round trips."""
+    n_classes = draw(st.integers(1, 4))
+    width = draw(st.integers(1, 6))
+    attributes = sorted(draw(st.sets(st.integers(0, width + 2), min_size=1, max_size=width)))
+    events = draw(st.lists(st.one_of(
+        st.tuples(st.just("row"), st.lists(values_in_range, min_size=width + 3,
+                                           max_size=width + 3),
+                  st.integers(0, n_classes - 1)),
+        st.tuples(st.just("drop"), st.integers(0, width - 1)),
+        st.tuples(st.just("pickle")),
+    ), max_size=60))
+    return attributes, n_classes, events
+
+
+@settings(max_examples=200, deadline=None)
+@given(block_histories())
+def test_block_matches_per_attribute_oracle_to_the_bit(history):
+    attributes, n_classes, events = history
+    block = GaussianNumericObserver(attributes, n_classes)
+    oracles = {a: GaussianOracle(n_classes) for a in attributes}
+    pre = ClassDistribution(n_classes)
+    for event in events:
+        if event[0] == "row":
+            _, values, label = event
+            pre.add(label)
+            block.learn(tuple(values), label, pre.weights[label])
+            for a, oracle in oracles.items():
+                oracle.observe(values[a], label)
+        elif event[0] == "drop":
+            a = block.attributes[event[1] % len(block.attributes)]
+            del oracles[a]
+            block = block.without(a)
+            if block is None:
+                assert not oracles
+                return
+        else:
+            block = pickle.loads(pickle.dumps(block))
+    assert block.attributes == sorted(oracles)
+    for j, a in enumerate(block.attributes):
+        oracle = oracles[a]
+        assert pre.weights == oracle.counts
+        assert [block.means[c][j].hex() for c in range(n_classes)] == [
+            m.hex() for m in oracle.means]
+        assert [block.m2[c][j].hex() for c in range(n_classes)] == [m.hex() for m in oracle.m2]
+        assert (block.vmin[j], block.vmax[j]) == (oracle.vmin, oracle.vmax)
+        assert [type(v) for v in (block.vmin[j], block.vmax[j])] == [float, float]
+
+
+def test_deactivation_deletes_the_column():
+    block = GaussianNumericObserver((1, 3, 4), n_classes=2)
+    block.learn((9, 0.5, 9, 1.5, 2.5), 0, 1.0)
+    block.learn((9, 1.0, 9, 2.0, 3.0), 1, 1.0)
+    assert block.without(3) is block
+    assert block.attributes == [1, 4]
+    assert block.means == [[0.5, 2.5], [1.0, 3.0]]
+    assert (block.vmin, block.vmax) == ([0.5, 2.5], [1.0, 3.0])
+    assert block.without(1).without(4) is None

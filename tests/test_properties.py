@@ -138,7 +138,7 @@ def valid_instance(schema, rng, informative):
     prefix=st.integers(0, 600),
     algorithm=st.sampled_from(["vfdt", "svfdt-i", "svfdt-ii"]),
     mode=st.sampled_from(["mc", "nb"]),
-    fault=st.sampled_from(["value", "deactivated", "length", "label"]),
+    fault=st.sampled_from(["value", "deactivated", "numeric", "length", "label"]),
     data=st.data(),
 )
 def test_rejected_instance_leaves_the_tree_unchanged(schema, seed, prefix, algorithm, mode,
@@ -151,6 +151,9 @@ def test_rejected_instance_leaves_the_tree_unchanged(schema, seed, prefix, algor
         learner.train_one(valid_instance(schema, rng, informative))
     values, label = valid_instance(schema, rng, informative).values, 0
     nominal = [a for a, attr in enumerate(schema.attributes) if attr.is_nominal]
+    numeric = [a for a, attr in enumerate(schema.attributes) if not attr.is_nominal]
+    if fault == "numeric" and not numeric:
+        fault = "value"  # no numeric attribute to spoil
     if fault == "deactivated":
         # Prefer an attribute the instance's leaf has deactivated, if any.
         leaf = learner.sort_to_leaf(Instance(values))
@@ -160,6 +163,10 @@ def test_rejected_instance_leaves_the_tree_unchanged(schema, seed, prefix, algor
         a = data.draw(st.sampled_from(nominal))
         arity = schema.attributes[a].arity
         bad = data.draw(st.sampled_from([-1, arity, 0.5, arity - 0.5, math.nan, math.inf]))
+        values = values[:a] + (bad,) + values[a + 1:]
+    elif fault == "numeric":
+        a = data.draw(st.sampled_from(numeric))
+        bad = data.draw(st.sampled_from(["abc", None, math.nan, math.inf, -math.inf]))
         values = values[:a] + (bad,) + values[a + 1:]
     elif fault == "length":
         values = data.draw(st.sampled_from([values[:-1], values + (0,)]))
@@ -206,6 +213,8 @@ def test_nominal_block_matches_the_reference_and_survives_pickling(schema, seed,
     for _ in range(n):
         learner.train_one(valid_instance(schema, rng, informative))
     for leaf in learner.iter_leaves():
+        numeric = [a for a in active(leaf) if not schema.attributes[a].is_nominal]
+        assert (leaf.numeric is None) == (not numeric)
         nominal = [a for a in active(leaf) if schema.attributes[a].is_nominal]
         if not nominal:
             assert leaf.nominal is None

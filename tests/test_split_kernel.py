@@ -1,9 +1,10 @@
 """The leaf-level numeric split kernel against per-attribute scoring.
 
-``numeric_best_splits`` scores every Gaussian observer of a leaf in one
-numpy pass.  ``reference_best_split`` below is the per-observer scoring it
-replaced; the kernel must reproduce its thresholds, merits and post-split
-weights to the bit, whichever other observers are scored with it.
+``GaussianNumericObserver.best_split`` scores every numeric attribute of a
+leaf in one numpy pass.  ``reference_best_split`` below scores one
+per-attribute oracle on its own; the kernel must reproduce its thresholds,
+merits and post-split weights to the bit, whichever other attributes are
+scored with it.
 """
 import math
 
@@ -14,18 +15,14 @@ from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from streamtree.core import Attribute, ClassDistribution, Schema, entropy
-from streamtree.observers import (
-    GaussianNumericObserver,
-    SplitCandidate,
-    _column_entropies,
-    numeric_best_splits,
-)
+from streamtree.observers import GaussianNumericObserver, SplitCandidate, _column_entropies
 from streamtree.tree import HoeffdingTree, LeafNode
+from test_observers import GaussianOracle
 
 
-def reference_best_split(attribute: int, obs: GaussianNumericObserver,
+def reference_best_split(attribute: int, obs: GaussianOracle,
                          pre_dist: ClassDistribution, bins: int):
-    """One observer's best threshold, scored on its own."""
+    """One oracle's best threshold, scored on its own."""
     lo, hi = obs.vmin, obs.vmax
     if not lo < hi:
         return None
@@ -58,8 +55,8 @@ def reference_best_split(attribute: int, obs: GaussianNumericObserver,
     return SplitCandidate(attribute, float(thresholds[best]), float(gains[best]), post)
 
 
-def observe_weighted(obs: GaussianNumericObserver, x: float, label: int, weight: float):
-    """``GaussianNumericObserver.observe`` with an instance weight: the weighted
+def observe_weighted(obs: GaussianOracle, x: float, label: int, weight: float):
+    """``GaussianOracle.observe`` with an instance weight: the weighted
     Welford update, so states can hold counts below 1 or steps of 2."""
     n = obs.counts[label] + weight
     obs.counts[label] = n
@@ -68,6 +65,22 @@ def observe_weighted(obs: GaussianNumericObserver, x: float, label: int, weight:
     obs.m2[label] += weight * delta * (x - obs.means[label])
     obs.vmin = min(obs.vmin, x)
     obs.vmax = max(obs.vmax, x)
+
+
+def block_of(pairs, n_classes: int) -> GaussianNumericObserver:
+    """The block of the (attribute, oracle) pairs' statistics, in pair order."""
+    block = GaussianNumericObserver([a for a, _ in pairs], n_classes)
+    block.means = [[obs.means[c] for _, obs in pairs] for c in range(n_classes)]
+    block.m2 = [[obs.m2[c] for _, obs in pairs] for c in range(n_classes)]
+    block.vmin = [obs.vmin for _, obs in pairs]
+    block.vmax = [obs.vmax for _, obs in pairs]
+    return block
+
+
+def only(candidates):
+    """The one candidate of a one-attribute block, or None."""
+    assert len(candidates) <= 1
+    return candidates[0] if candidates else None
 
 
 def bits(candidate):
@@ -86,7 +99,7 @@ finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
 
 @st.composite
 def leaf_states(draw):
-    """(attribute, observer) pairs of one leaf fed the same labelled rows,
+    """(attribute, oracle) pairs of one leaf fed the same labelled rows,
     the leaf's observed distribution and the bin count.  Columns are free
     floats, a few repeated values (so some classes are point masses) or one
     constant; short rows leave classes with count 0 or 1, and half weights
@@ -98,7 +111,7 @@ def leaf_states(draw):
     pools = [draw(st.lists(finite, min_size=1, max_size=1 if kind == "constant" else 3))
              for kind in kinds]
     n_rows = draw(st.integers(0, 40))
-    pairs = [(a, GaussianNumericObserver(n_classes)) for a in range(len(kinds))]
+    pairs = [(a, GaussianOracle(n_classes)) for a in range(len(kinds))]
     pre = [0.0] * n_classes
     for _ in range(n_rows):
         label = draw(st.integers(0, n_classes - 1))
@@ -114,42 +127,48 @@ def leaf_states(draw):
 @given(leaf_states())
 def test_kernel_matches_per_attribute_scoring_to_the_bit(state):
     pairs, pre, bins = state
+    k = len(pre)
     expected = [bits(reference_best_split(a, obs, pre, bins)) for a, obs in pairs]
-    assert [bits(c) for c in numeric_best_splits(pairs, pre, bins)] == expected
-    assert [bits(numeric_best_splits([pair], pre, bins)[0]) for pair in pairs] == expected
+    # An attribute without a candidate is left out.
+    assert [bits(c) for c in block_of(pairs, k).best_split(pre, bins)] == [
+        e for e in expected if e is not None]
+    assert [bits(only(block_of([pair], k).best_split(pre, bins))) for pair in pairs] == expected
 
 
 def test_weighted_update_of_weight_one_is_observe():
     rng = np.random.default_rng(3)
-    plain, weighted = GaussianNumericObserver(3), GaussianNumericObserver(3)
+    plain, weighted = GaussianOracle(3), GaussianOracle(3)
     for x, label in zip(rng.normal(size=200).tolist(), rng.integers(0, 3, 200).tolist()):
         plain.observe(x, label)
         observe_weighted(weighted, x, label, 1.0)
-    assert [getattr(plain, f) for f in plain.__slots__] == (
-        [getattr(weighted, f) for f in weighted.__slots__])
+    assert vars(plain) == vars(weighted)
 
 
 def test_point_mass_on_a_threshold_goes_below():
     # One threshold, at 1.0; class 1 is a point mass there, so "<=" sends it left.
-    obs = GaussianNumericObserver(2)
+    obs = GaussianOracle(2)
     pre = ClassDistribution(2)
     for x, label in ((0.0, 0), (1.0, 1), (1.0, 1), (2.0, 0)):
         obs.observe(x, label)
         pre.add(label)
-    (cand,) = numeric_best_splits([(0, obs)], pre, 1)
+    (cand,) = block_of([(0, obs)], 2).best_split(pre, 1)
     assert cand.threshold == 1.0
     assert cand.post_split[0].weights[1] == 2.0 and cand.post_split[1].weights[1] == 0.0
     assert bits(cand) == bits(reference_best_split(0, obs, pre, 1))
 
 
 def test_no_live_observer_scores_nothing():
-    empty = GaussianNumericObserver(2)
-    constant = GaussianNumericObserver(2)
+    empty = GaussianOracle(2)
+    constant = GaussianOracle(2)
     constant.observe(4.0, 0)
     constant.observe(4.0, 1)
     pre = ClassDistribution.from_weights([1, 1])
-    assert numeric_best_splits([], pre, 100) == []
-    assert numeric_best_splits([(0, empty), (1, constant)], pre, 100) == [None, None]
+    assert GaussianNumericObserver((), 2).best_split(pre, 100) == []
+    assert block_of([(0, empty), (1, constant)], 2).best_split(pre, 100) == []
+    fed = GaussianNumericObserver((0, 1), 2)
+    for label in (0, 1):
+        fed.learn((4.0, 4.0), label, 1.0)
+    assert fed.best_split(pre, 100) == []
 
 
 @pytest.mark.parametrize("kinds", [("numeric", "nominal", "numeric"),

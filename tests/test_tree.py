@@ -29,7 +29,8 @@ TWO_NUMERIC = Schema((Attribute.numeric("x"), Attribute.numeric("y")), 2)
 def active(leaf):
     """The attributes a leaf still observes, in attribute order."""
     nominal = leaf.nominal.attributes if leaf.nominal is not None else ()
-    return sorted([a for a, _ in leaf.observers] + list(nominal))
+    numeric = leaf.numeric.attributes if leaf.numeric is not None else ()
+    return sorted([*numeric, *nominal])
 
 
 def perfect_attribute_stream(n, seed=0):
@@ -239,11 +240,45 @@ class TestTraining:
         for inst in (Instance((0.1, 0), 0), Instance((0.3, 1), 1), Instance((0.5, 2), 0)):
             tree.train_one(inst)
         before = pickle.dumps(tree)
-        for bad in ((0.7, 5), (0.5,), (0.5, 1, 0)):
+        numeric_faults = [(x, 1) for x in ("abc", None, math.nan, math.inf, -math.inf)]
+        for bad in ((0.7, 5), (0.5,), (0.5, 1, 0), *numeric_faults):
             with pytest.raises(ContractViolation):
                 tree.train_one(Instance(bad, 1))
         assert pickle.dumps(tree) == before
         assert tree.root.dist.weights == [2.0, 1.0] and tree.root.dist.total == 3.0
+        assert tree.root.numeric.vmax == [0.5] and tree.instances_trained == 3
+
+    @pytest.mark.parametrize("bad", ["abc", None, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("mode", ["mc", "nb"])
+    def test_numeric_value_that_is_not_a_finite_real_rejected_below_a_split(self, bad, mode):
+        # Either numeric attribute may carry the bad value.
+        tree = HoeffdingTree(TWO_NUMERIC, TreeConfig(grace_period=20, leaf_prediction=mode))
+        rng = random.Random(3)
+        while isinstance(tree.root, LeafNode):
+            label = rng.randrange(2)
+            tree.train_one(Instance((label + rng.random(), rng.random()), label))
+        leaf = tree.sort_to_leaf(Instance((0.5, 0.5)))
+        before = pickle.dumps(tree)
+        state = (leaf.dist.weights[:], leaf.observed.weights[:], pickle.dumps(leaf.numeric),
+                 tree.split_log[:], tree.instances_trained)
+        for values, name in (((bad, 0.5), "x"), ((0.5, bad), "y")):
+            message = f"finite real number for attribute '{name}'"
+            with pytest.raises(ContractViolation, match=message):
+                tree.train_one(Instance(values, 1))
+            with pytest.raises(ContractViolation, match=message):
+                tree.predict(Instance(values))
+        assert (leaf.dist.weights, leaf.observed.weights, pickle.dumps(leaf.numeric),
+                tree.split_log, tree.instances_trained) == state
+        assert pickle.dumps(tree) == before
+
+    def test_values_whose_sum_overflows_are_learned(self):
+        tree = HoeffdingTree(TWO_NUMERIC)
+        tree.train_one(Instance((1e308, 1e308), 0))
+        tree.train_one(Instance((-1e308, -1e308), 1))
+        assert tree.root.observed.weights == [1.0, 1.0]
+        assert tree.root.numeric.vmin == [-1e308, -1e308]
+        assert tree.root.numeric.vmax == [1e308, 1e308]
+        assert tree.predict(Instance((1e308, 1e308)))[0] == 0
 
     @pytest.mark.parametrize("mode", ["mc", "nb"])
     def test_value_of_a_deactivated_attribute_still_checked(self, mode):
