@@ -104,13 +104,16 @@ class Schema:
                 f"instance has {len(values)} values, schema expects {len(self.attributes)}"
             )
         for allowed, getter in self._nominal:
-            if not allowed.issuperset(getter(values)):
-                a = next(a for a, t in enumerate(self.attributes)
-                         if t.arity == len(allowed) and values[a] not in allowed)
-                raise ContractViolation(
-                    f"nominal value {values[a]!r} out of range [0, {len(allowed)}) "
-                    f"for attribute {self.attributes[a].name!r}"
-                )
+            try:
+                if allowed.issuperset(getter(values)):
+                    continue
+            except TypeError:  # an unhashable value, such as a list
+                pass
+            k = len(allowed)  # the value is sought by equality, which hashes nothing
+            a = next(a for a, t in enumerate(self.attributes) if t.arity == k and (
+                type(values[a]).__hash__ is None or values[a] not in range(k)))
+            raise ContractViolation(f"nominal value {values[a]!r} out of range [0, {k}) "
+                                    f"for attribute {self.attributes[a].name!r}")
         if self._numeric:
             # Admitted nominal values are finite, so one finite float sum admits
             # every value; a sum that fails or overflows is settled value by value.

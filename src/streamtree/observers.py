@@ -9,7 +9,7 @@ class-conditional normal CDF.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate, repeat
 from math import exp, sqrt
 
@@ -28,14 +28,15 @@ class SplitCandidate:
     """One possible split of a leaf: an attribute test plus its merit.
 
     ``threshold`` is None for nominal (multiway) tests.  ``post_split``
-    holds the estimated class distribution of each branch: [<=, >] for
-    numeric tests, one entry per value for nominal ones.
+    holds the estimated class weights of each branch as a plain list:
+    [<=, >] for numeric tests, one entry per value for nominal ones.  Only
+    the winning candidate's lists become distributions, of its new leaves.
     """
 
     attribute: int
     threshold: float | None
     merit: float
-    post_split: list[ClassDistribution] = field(default_factory=list)
+    post_split: list[list[float]]
 
     @property
     def is_nominal(self) -> bool:
@@ -100,11 +101,10 @@ class NominalObserver:
         counts = (self.num - 1.0).tolist()
         candidates = []
         for (a, row), arity in zip(self._plan, self.arities):
-            post = [ClassDistribution.from_weights(w) for w in counts[row:row + arity]]
+            post = counts[row:row + arity]
             gain = h
-            for branch in post:
-                if branch.total > 0.0:
-                    gain -= (branch.total / n) * entropy(branch)
+            for weights in post:  # an empty branch subtracts 0.0, which changes no bit
+                gain -= (math.fsum(weights) / n) * entropy(weights)
             candidates.append(SplitCandidate(a, None, gain, post))
         return candidates
 
@@ -218,11 +218,8 @@ class GaussianNumericObserver:
             below[:, rows, best].T.tolist(),
             above[:, rows, best].T.tolist(),
         )
-        candidates = []
-        for j, threshold, merit, left, right in picked:
-            post = [ClassDistribution.from_weights(left), ClassDistribution.from_weights(right)]
-            candidates.append(SplitCandidate(self.attributes[j], threshold, merit, post))
-        return candidates
+        return [SplitCandidate(self.attributes[j], threshold, merit, [left, right])
+                for j, threshold, merit, left, right in picked]
 
 
 def _density(x, n: float, mean: float, m2: float) -> float:

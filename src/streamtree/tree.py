@@ -116,12 +116,6 @@ class SplitNode:
         self.threshold = threshold
         self.children = children
 
-    def branch_for(self, values) -> int:
-        """Child index for ``values``, which ``Schema.check_values`` has admitted."""
-        if self.threshold is None:
-            return int(values[self.attribute])
-        return 0 if values[self.attribute] <= self.threshold else 1
-
     def __repr__(self) -> str:
         test = "multiway" if self.threshold is None else f"<= {self.threshold:.4g}"
         return f"SplitNode(attr={self.attribute}, {test})"
@@ -171,9 +165,12 @@ class HoeffdingTree:
         node = self.root
         parent = None
         branch = -1
-        while not isinstance(node, LeafNode):
+        while node.__class__ is SplitNode:
             parent = node
-            branch = node.branch_for(values)
+            if node.threshold is None:
+                branch = int(values[node.attribute])
+            else:
+                branch = 0 if values[node.attribute] <= node.threshold else 1
             node = node.children[branch]
         return node, parent, branch
 
@@ -208,19 +205,24 @@ class HoeffdingTree:
     # -- prediction ----------------------------------------------------
 
     def predict(self, instance: Instance) -> tuple[int, list[float]]:
-        """Raises ContractViolation for values the schema does not admit."""
-        leaf = self.sort_to_leaf(instance)
-        return self._predict_leaf(leaf, instance.values)
+        """The class and normalised class scores of the instance's leaf.
 
-    def _predict_leaf(self, leaf: LeafNode, values) -> tuple[int, list[float]]:
+        Raises ContractViolation for values the schema does not admit.
+        """
+        leaf = self.sort_to_leaf(instance)
         dist = leaf.dist
         if dist.total <= 0.0:
             k = len(dist)
             return 0, [1.0 / k] * k
         if self.config.leaf_prediction == "mc":
-            scores = [w / dist.total for w in dist.weights]
-            return dist.argmax(), scores
-        return self._predict_nb(leaf, values)
+            return dist.argmax(), [w / dist.total for w in dist.weights]
+        return self._predict_nb(leaf, instance.values)
+
+    def _predict_leaf(self, leaf: LeafNode, values) -> int:
+        """``predict``'s class with no scores built; an empty leaf's argmax is 0."""
+        if self.config.leaf_prediction == "mc" or leaf.dist.total <= 0.0:
+            return leaf.dist.argmax()
+        return self._predict_nb(leaf, values)[0]
 
     def _predict_nb(self, leaf: LeafNode, values) -> tuple[int, list[float]]:
         """Scores P(c) * prod_a P(x_a | c), the attributes in attribute order.
@@ -268,12 +270,11 @@ class HoeffdingTree:
         self.schema.check_label(label)
         self.schema.check_values(values)
         leaf, parent, branch = self._sort_path(values)
-        prediction = self._predict_leaf(leaf, values)[0]
+        prediction = self._predict_leaf(leaf, values)
         leaf.learn(values, label)
         self.instances_trained += 1
-        if leaf.dist.impure and (
-            leaf.dist.total - leaf.last_check_weight > self.config.grace_period
-        ):
+        dist = leaf.dist  # the cheap weight test first; neither test changes anything
+        if dist.total - leaf.last_check_weight > self.config.grace_period and dist.impure:
             self._attempt_split(leaf, parent, branch)
         return prediction
 
@@ -287,15 +288,13 @@ class HoeffdingTree:
 
     def _attempt_split(self, leaf: LeafNode, parent, branch: int) -> None:
         rank = self._rank_candidates(leaf)
-        if not rank:
-            leaf.last_check_weight = leaf.dist.total
-            return
-        epsilon = hoeffding_bound(self._hb_range, self.config.delta, leaf.dist.total)
-        if self._should_split(leaf, rank, epsilon):
-            self._split(leaf, parent, branch, rank[0])
-        else:
-            leaf.last_check_weight = leaf.dist.total
+        if rank:
+            epsilon = hoeffding_bound(self._hb_range, self.config.delta, leaf.dist.total)
+            if self._should_split(leaf, rank, epsilon):
+                self._split(leaf, parent, branch, rank[0])
+                return
             feature_selection(rank, epsilon, leaf)
+        leaf.last_check_weight = leaf.dist.total
 
     def _should_split(self, leaf: LeafNode, rank: list[SplitCandidate], epsilon: float) -> bool:
         return vfdt_split_condition([c.merit for c in rank], epsilon, self.config.tiebreak)
@@ -305,7 +304,8 @@ class HoeffdingTree:
             child_attrs = tuple(a for a in leaf.available if a != winner.attribute)
         else:
             child_attrs = leaf.available
-        children = [LeafNode(self.schema, child_attrs, dist) for dist in winner.post_split]
+        children = [LeafNode(self.schema, child_attrs, ClassDistribution.from_weights(weights))
+                    for weights in winner.post_split]
         node = SplitNode(winner.attribute, winner.threshold, children)
         if parent is None:
             self.root = node

@@ -30,8 +30,8 @@ class TestNominalObserver:
         [cand] = obs.best_split(ClassDistribution.from_weights([5, 5]))
         assert cand.merit == pytest.approx(1.0)
         assert cand.is_nominal and len(cand.post_split) == 2
-        assert cand.post_split[0].weights == [5.0, 0.0]
-        assert cand.post_split[1].weights == [0.0, 5.0]
+        assert cand.post_split[0] == [5.0, 0.0]
+        assert cand.post_split[1] == [0.0, 5.0]
 
     def test_no_observations_absent(self):
         obs = NominalObserver((0,), (2,), n_classes=2)
@@ -196,7 +196,7 @@ class TestGaussianObserver:
             obs.observe(x, 0)
         cand = obs.best_split()
         for branch in cand.post_split:
-            assert branch.weights[1] == 0.0
+            assert branch[1] == 0.0
 
     def test_zero_variance_point_mass_sides(self):
         obs = Column(n_classes=2)
@@ -206,8 +206,8 @@ class TestGaussianObserver:
         cand = obs.best_split(bins=9)
         # Point masses sit entirely on one side of the best threshold.
         assert cand.merit == pytest.approx(1.0)
-        assert cand.post_split[0].weights == [5.0, 0.0]
-        assert cand.post_split[1].weights == [0.0, 5.0]
+        assert cand.post_split[0] == [5.0, 0.0]
+        assert cand.post_split[1] == [0.0, 5.0]
 
     def _random_observer(self, rng, n_classes=3):
         obs = Column(n_classes=n_classes)
@@ -224,7 +224,7 @@ class TestGaussianObserver:
         if cand is None:
             return
         for c in range(3):
-            total = sum(branch.weights[c] for branch in cand.post_split)
+            total = sum(branch[c] for branch in cand.post_split)
             assert total == pytest.approx(obs.pre.weights[c], rel=1e-6, abs=1e-9)
 
     @given(st.integers())

@@ -73,6 +73,40 @@ def test_train_one_prediction_is_label_blind(kind, seed, prefix, algorithm, mode
     assert len(predictions) == 1
 
 
+CSV_LIKE = Schema((Attribute.numeric("x"), Attribute.nominal("color", 3)), 2)
+
+
+def csv_like_stream(seed: int, n: int):
+    """The rows of ``csv_spec`` as instances: a numeric and a 3-valued nominal
+    attribute whose interaction sets the class."""
+    rng = random.Random(seed)
+    for _ in range(n):
+        x, color = rng.random(), rng.randrange(3)
+        yield Instance((x, color), int((x > 0.5) ^ (color == 2)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    kind=st.sampled_from(["led", "sea", "csv"]),
+    seed=st.integers(1, 10_000),
+    n=st.integers(100, 2000),
+    algorithm=st.sampled_from(["vfdt", "svfdt-i", "svfdt-ii"]),
+    mode=st.sampled_from(["mc", "nb"]),
+)
+def test_train_one_returns_the_class_that_predict_scores(kind, seed, n, algorithm, mode):
+    # train_one predicts without building the scores; it must not drift from predict.
+    if kind == "csv":
+        schema, instances = CSV_LIKE, csv_like_stream(seed, n)
+    else:
+        instances = make_stream(kind, seed, n)
+        schema = instances.schema
+    learner = make_learner(algorithm, schema,
+                           TreeConfig(grace_period=50, tiebreak=0.2, leaf_prediction=mode))
+    for instance in instances:
+        expected = learner.predict(Instance(instance.values))[0]
+        assert learner.train_one(instance) == expected
+
+
 @settings(max_examples=20, deadline=None)
 @given(
     kind=st.sampled_from(["led", "sea", "rbf10"]),

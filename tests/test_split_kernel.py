@@ -48,10 +48,7 @@ def reference_best_split(attribute: int, obs: GaussianOracle,
         - _column_entropies(above) * (above.sum(axis=0) / n)
     )
     best = int(np.argmax(gains))
-    post = [
-        ClassDistribution.from_weights(below[:, best]),
-        ClassDistribution.from_weights(above[:, best]),
-    ]
+    post = [below[:, best].tolist(), above[:, best].tolist()]
     return SplitCandidate(attribute, float(thresholds[best]), float(gains[best]), post)
 
 
@@ -90,7 +87,7 @@ def bits(candidate):
         candidate.attribute,
         candidate.threshold.hex(),
         candidate.merit.hex(),
-        [[w.hex() for w in branch.weights] for branch in candidate.post_split],
+        [[w.hex() for w in branch] for branch in candidate.post_split],
     )
 
 
@@ -153,7 +150,7 @@ def test_point_mass_on_a_threshold_goes_below():
         pre.add(label)
     (cand,) = block_of([(0, obs)], 2).best_split(pre, 1)
     assert cand.threshold == 1.0
-    assert cand.post_split[0].weights[1] == 2.0 and cand.post_split[1].weights[1] == 0.0
+    assert cand.post_split[0][1] == 2.0 and cand.post_split[1][1] == 0.0
     assert bits(cand) == bits(reference_best_split(0, obs, pre, 1))
 
 

@@ -12,6 +12,7 @@ from types import SimpleNamespace
 
 BENCH = Path(__file__).resolve().parents[1] / "streambench"
 MODULES = ("evaluation", "experiment", "observers", "streams", "svfdt", "tree")
+LEARNERS = ("vfdt", "svfdt-i", "svfdt-ii")
 
 
 def program():
@@ -40,3 +41,36 @@ def test_every_looked_up_name_exists():
     assert names
     for module, name in sorted(names):
         assert hasattr(getattr(modules, module), name), f"streamtree.{module}.{name}"
+
+
+def test_no_traced_layer_is_left_empty(monkeypatch):
+    # A fast path that skipped a wrapped method would read 0 under --trace 1.
+    monkeypatch.syspath_prepend(str(BENCH))
+    from layers import instrument
+    from tracing import Tracer
+
+    from streamtree.experiment import make_learner
+    from streamtree.streams import SeaStream
+    from streamtree.tree import TreeConfig
+
+    stream = SeaStream(seed=1, n=1000)
+    instances = list(stream)
+    modules = program()
+    for mode in ("mc", "nb"):
+        tracer = Tracer()
+        patches = instrument(tracer, modules)
+        try:
+            for algorithm in LEARNERS:
+                learner = make_learner(algorithm, stream.schema, TreeConfig(leaf_prediction=mode))
+                modules.evaluation.prequential_run(learner, instances)
+        finally:
+            patches.remove()
+        totals = tracer.totals()
+        for algorithm in LEARNERS:
+            def calls(span):
+                return totals.get((algorithm, span), (0.0, 0.0, 0))[2]
+
+            for span in ("tree.route", "tree.predict", "tree.learn"):
+                assert calls(span) == len(instances), (mode, algorithm, span)
+            for span in ("tree.attempt", "observers.best_split"):
+                assert calls(span) >= 1, (mode, algorithm, span)

@@ -248,6 +248,36 @@ class TestTraining:
         assert tree.root.dist.weights == [2.0, 1.0] and tree.root.dist.total == 3.0
         assert tree.root.numeric.vmax == [0.5] and tree.instances_trained == 3
 
+    @pytest.mark.parametrize("schema,good", [
+        (Schema((Attribute.nominal("a", 2), Attribute.numeric("x")), 2), 0.5),
+        (Schema((Attribute.nominal("a", 2), Attribute.nominal("b", 3)), 2), 1),
+    ])
+    @pytest.mark.parametrize("bad", [[0], {}, ([0],)])
+    @pytest.mark.parametrize("mode", ["mc", "nb"])
+    def test_unhashable_nominal_value_rejected(self, schema, good, bad, mode):
+        # a copies the label and the other attribute is constant, so the
+        # root splits on a; the bad value is tried at the root and below it.
+        tree = HoeffdingTree(schema, TreeConfig(grace_period=20, leaf_prediction=mode))
+        faults = [((bad, good), "a")]
+        if schema.attributes[1].is_nominal:
+            faults.append(((0, bad), "b"))
+        for grown in (False, True):
+            rng = random.Random(1)
+            while grown and not tree.split_log:
+                label = rng.randrange(2)
+                tree.train_one(Instance((label, good), label))
+            before = pickle.dumps(tree)
+            for values, name in faults:
+                message = f"out of range .* for attribute '{name}'"
+                with pytest.raises(ContractViolation, match=message):
+                    schema.check_values(values)
+                with pytest.raises(ContractViolation, match=message):
+                    tree.train_one(Instance(values, 0))
+                with pytest.raises(ContractViolation, match=message):
+                    tree.predict(Instance(values))
+            assert pickle.dumps(tree) == before
+        assert tree.root.attribute == 0
+
     @pytest.mark.parametrize("bad", ["abc", None, math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("mode", ["mc", "nb"])
     def test_numeric_value_that_is_not_a_finite_real_rejected_below_a_split(self, bad, mode):
