@@ -140,12 +140,6 @@ class Schema:
                 f"label must be a class index in [0, {self.class_count}), got {label!r}"
             )
 
-    def validate_instance(self, instance: "Instance") -> None:
-        """``check_values`` and, unless unlabelled, ``check_label``."""
-        self.check_values(instance.values)
-        if instance.label is not None:
-            self.check_label(instance.label)
-
 
 @dataclass(slots=True)
 class Instance:

@@ -69,7 +69,7 @@ class StreamSpec:
         return StreamSpec(name, kind, params)
 
     def build(self, seed: int):
-        """The stream; an unknown or missing parameter raises ConfigError."""
+        """The stream; an unknown, missing or invalid parameter raises ConfigError."""
         p = dict(self.params)
         try:
             if self.type != "csv":
@@ -93,7 +93,7 @@ class StreamSpec:
             raise ConfigError(
                 f"stream {self.name!r} is missing required field {exc.args[0]!r}"
             ) from None
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:  # ConfigError is a ValueError
             raise ConfigError(f"stream {self.name!r}: {exc}") from None
 
 
@@ -128,7 +128,9 @@ class ExperimentConfig:
             raise ConfigError("config needs at least one seed")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
-        # Fail fast on bad learner hyperparameters.
+        # Fail fast on bad stream parameters and learner hyperparameters.
+        for spec in self.streams:
+            spec.build(self.seeds[0])
         self.tree_config(self.tiebreaks[0])
 
     @staticmethod

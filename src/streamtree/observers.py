@@ -47,33 +47,28 @@ class NominalObserver:
     """Laplace-smoothed class counts of every active nominal attribute of one leaf.
 
     ``num`` has one row per (attribute, value), in attribute order, and holds
-    count + 1 per class: the Laplace numerator.  ``den`` has one row per
-    distinct arity k, ascending, and holds n_c + k: every attribute sees
-    every instance the leaf learns, so attributes of one arity share it.
-    Both hold whole numbers; ``learn`` updates them through flat
-    memoryviews.  A pickle carries the arrays; the other fields derive.
+    count + 1 per class: the Laplace numerator, whole numbers that ``learn``
+    updates through a flat memoryview.  A pickle carries ``num`` alone.
+    ``den`` holds n_c + k once per distinct arity k, ascending: every
+    attribute sees every instance the leaf learns.  It is None until the
+    first naive-Bayes read derives it from the leaf's class counts, and
+    ``learn`` keeps it current from then on.
     """
 
     __slots__ = ("attributes", "arities", "n_classes", "num", "den",
                  "_counts", "_denominators", "_plan", "_den_offsets", "_den_rows")
 
-    def __init__(self, attributes, arities, n_classes: int, num=None, den=None):
+    def __init__(self, attributes, arities, n_classes: int, num=None):
         self.attributes, self.arities, self.n_classes = tuple(attributes), tuple(arities), n_classes
-        sizes = sorted(set(self.arities))
-        if num is None:
-            num = np.ones((sum(self.arities), n_classes))
-            den = np.repeat(np.array(sizes, dtype=float)[:, None], n_classes, axis=1)
-        self.num, self.den = num, den
-        # cast() refuses an array that is not C-contiguous, so these are views.
-        self._counts = memoryview(num).cast("B").cast("d")
-        self._denominators = memoryview(den).cast("B").cast("d")
+        self.num = np.ones((sum(self.arities), n_classes)) if num is None else num
+        # cast() refuses an array that is not C-contiguous, so this is a view.
+        self._counts = memoryview(self.num).cast("B").cast("d")
         # (attribute, first row) pairs: value v of the attribute is row first + v.
         self._plan = list(zip(self.attributes, accumulate(self.arities[:-1], initial=0)))
-        self._den_offsets = range(0, den.size, n_classes)
-        self._den_rows = slice(None) if len(sizes) == 1 else np.searchsorted(sizes, self.arities)
+        self.den, self._den_offsets = None, ()
 
     def __reduce__(self):
-        return NominalObserver, (self.attributes, self.arities, self.n_classes, self.num, self.den)
+        return NominalObserver, (self.attributes, self.arities, self.n_classes, self.num)
 
     def learn(self, values, class_index: int) -> None:
         counts, k = self._counts, self.n_classes
@@ -85,8 +80,15 @@ class NominalObserver:
         for offset in self._den_offsets:
             self._denominators[offset + class_index] += 1.0
 
-    def likelihoods(self, values, out: np.ndarray) -> None:
-        """Write each attribute's P(value | class) row into ``out``, in order."""
+    def likelihoods(self, values, counts, out: np.ndarray) -> None:
+        """Write each attribute's P(value | class) row into ``out``, in order;
+        ``counts`` are the leaf's observed class weights."""
+        if self.den is None:  # whole numbers, so n_c + k has the bits of k + 1 + ... + 1
+            sizes = sorted(set(self.arities))
+            self.den = np.add.outer(np.array(sizes, dtype=float), counts)
+            self._denominators = memoryview(self.den).cast("B").cast("d")
+            self._den_offsets = range(0, self.den.size, self.n_classes)
+            self._den_rows = slice(None) if len(sizes) == 1 else np.searchsorted(sizes, self.arities)
         # take() accepts a whole float such as 2.0 as a row index.
         self.num.take([row + values[a] for a, row in self._plan], axis=0, out=out, mode="clip")
         np.divide(out, self.den[self._den_rows], out=out)
@@ -109,17 +111,16 @@ class NominalObserver:
         return candidates
 
     def without(self, attribute: int) -> NominalObserver | None:
-        """The block minus ``attribute``'s rows, or None when none is left."""
+        """The block minus ``attribute``'s rows, or None when none is left; the
+        next naive-Bayes read derives its ``den`` afresh."""
         i = self.attributes.index(attribute)
         (_, row), arity = self._plan[i], self.arities[i]
         arities = self.arities[:i] + self.arities[i + 1:]
         if not arities:
             return None
         num = np.concatenate((self.num[:row], self.num[row + arity:]))
-        den = self.den if arity in arities else np.delete(
-            self.den, sorted(set(self.arities)).index(arity), axis=0)
         attributes = self.attributes[:i] + self.attributes[i + 1:]
-        return NominalObserver(attributes, arities, self.n_classes, num, den)
+        return NominalObserver(attributes, arities, self.n_classes, num)
 
 
 class GaussianNumericObserver:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import math
 import random
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -51,6 +52,16 @@ class StreamFormatError(ValueError):
         return f"{message} ({where})"
 
 
+def _checked(name: str, value, low=-math.inf, high=math.inf, whole: bool = False):
+    """``value`` when it is a finite real number in [low, high], an int when
+    ``whole``; otherwise a ConfigError that names the parameter."""
+    if (isinstance(value, bool) or not isinstance(value, int if whole else (int, float))
+            or not low <= value <= high or abs(value) > sys.float_info.max):
+        kind = "a whole number" if whole else "a finite real number"
+        raise ConfigError(f"{name} must be {kind} in [{low}, {high}], got {value!r}")
+    return value
+
+
 class LedStream:
     """Digit stream from a noisy seven-segment display.
 
@@ -60,16 +71,10 @@ class LedStream:
     """
 
     def __init__(self, noise: float = 0.0, irrelevant: int = 17, seed: int = 1, n: int = 1000):
-        if not 0.0 <= noise <= 1.0:
-            raise ConfigError(f"noise must lie in [0, 1], got {noise}")
-        if irrelevant < 0:
-            raise ConfigError(f"irrelevant must be >= 0, got {irrelevant}")
-        if n < 1:
-            raise ConfigError(f"n must be >= 1, got {n}")
-        self.noise = noise
-        self.irrelevant = irrelevant
+        self.noise = _checked("noise", noise, 0, 1)
+        self.irrelevant = _checked("irrelevant", irrelevant, 0, whole=True)
         self.seed = seed
-        self.n = n
+        self.n = _checked("n", n, 1, whole=True)
         attrs = [Attribute.nominal(f"seg_{i}", 2) for i in range(7)]
         attrs += [Attribute.nominal(f"noise_{i}", 2) for i in range(irrelevant)]
         self.schema = Schema(tuple(attrs), 10, tuple(str(d) for d in range(10)))
@@ -88,9 +93,6 @@ class LedStream:
             for _ in range(irrelevant):
                 values.append(rng.getrandbits(1))
             yield Instance(tuple(values), digit)
-
-    def __len__(self) -> int:
-        return self.n
 
 
 def sea_label(f1: float, f2: float, threshold: float) -> int:
@@ -114,17 +116,13 @@ class SeaStream:
     ):
         if not thresholds:
             raise ConfigError("thresholds must not be empty")
-        if not 0.0 <= noise <= 1.0:
-            raise ConfigError(f"noise must lie in [0, 1], got {noise}")
-        if n < 1:
-            raise ConfigError(f"n must be >= 1, got {n}")
         self.seed = seed
-        self.n = n
-        self.thresholds = tuple(float(t) for t in thresholds)
-        self.block_size = block_size if block_size is not None else max(1, n // len(thresholds))
-        if self.block_size < 1:
-            raise ConfigError(f"block_size must be >= 1, got {self.block_size}")
-        self.noise = noise
+        self.n = _checked("n", n, 1, whole=True)
+        self.thresholds = tuple(float(_checked("thresholds", t)) for t in thresholds)
+        if block_size is None:
+            block_size = max(1, n // len(thresholds))
+        self.block_size = _checked("block_size", block_size, 1, whole=True)
+        self.noise = _checked("noise", noise, 0, 1)
         attrs = tuple(Attribute.numeric(f"f{i + 1}") for i in range(3))
         self.schema = Schema(attrs, 2, ("le", "gt"))
 
@@ -143,9 +141,6 @@ class SeaStream:
                 label ^= 1
             yield Instance((f1, f2, f3), label)
 
-    def __len__(self) -> int:
-        return self.n
-
 
 class RbfStream:
     """Gaussian-blob stream: weighted random centroids in the unit cube,
@@ -162,23 +157,14 @@ class RbfStream:
         n: int = 1000,
         deviation_range: tuple[float, float] = (0.0, 1.0),
     ):
-        if n_centroids < n_classes:
-            raise ConfigError(
-                f"n_centroids ({n_centroids}) must be >= n_classes ({n_classes})"
-            )
-        if n_attrs < 1:
-            raise ConfigError(f"n_attrs must be >= 1, got {n_attrs}")
-        if n < 1:
-            raise ConfigError(f"n must be >= 1, got {n}")
-        lo, hi = deviation_range
-        if lo < 0 or hi < lo:
-            raise ConfigError(f"invalid deviation_range {deviation_range}")
-        self.n_attrs = n_attrs
-        self.n_classes = n_classes
-        self.n_centroids = n_centroids
+        self.n_attrs = _checked("n_attrs", n_attrs, 1, whole=True)
+        self.n_classes = _checked("n_classes", n_classes, 2, whole=True)
+        self.n_centroids = _checked("n_centroids", n_centroids, n_classes, whole=True)
         self.seed = seed
-        self.n = n
-        self.deviation_range = (float(lo), float(hi))
+        self.n = _checked("n", n, 1, whole=True)
+        lo, hi = deviation_range
+        lo = _checked("deviation_range", lo, 0)
+        self.deviation_range = (float(lo), float(_checked("deviation_range", hi, lo)))
         attrs = tuple(Attribute.numeric(f"x{i}") for i in range(n_attrs))
         self.schema = Schema(attrs, n_classes)
         self.centroids = self._draw_centroids(random.Random(seed))
@@ -227,9 +213,6 @@ class RbfStream:
             scale = magnitude / (sqrt(fsum([x * x for x in direction])) or 1.0)
             yield Instance(tuple([c + x * scale for c, x in zip(center, direction)]), label)
 
-    def __len__(self) -> int:
-        return self.n
-
 
 @dataclass(frozen=True)
 class CsvColumn:
@@ -275,7 +258,6 @@ class CsvStream:
             for c in self.columns
         ]
         self._class_map = {v: i for i, v in enumerate(self.class_values)}
-        self.n = None
 
     def __iter__(self):
         expected = len(self.columns) + 1

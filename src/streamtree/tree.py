@@ -237,7 +237,7 @@ class HoeffdingTree:
         factors = np.empty((1 + len(attrs) + len(numeric_attrs), len(dist)))
         np.divide(dist.weights, dist.total, out=factors[0])
         if nominal is not None:
-            nominal.likelihoods(values, factors[1:1 + len(attrs)])
+            nominal.likelihoods(values, leaf.observed.weights, factors[1:1 + len(attrs)])
         if numeric is None:  # no factor exceeds 1, so the product cannot overflow
             scores = np.multiply.reduce(factors, axis=0).tolist()
         else:

@@ -13,7 +13,6 @@ from streamtree.core import (
     ClassDistribution,
     ConfigError,
     ContractViolation,
-    Instance,
     Schema,
     entropy,
     hoeffding_bound,
@@ -263,21 +262,22 @@ class TestSchema:
         schema = Schema((Attribute.numeric("x"),), 3)
         assert schema.class_names == ("0", "1", "2")
 
-    def test_validate_instance(self):
+    def test_check_values_and_label(self):
         schema = self.make()
-        schema.validate_instance(Instance((2, 1.5), 1))
+        schema.check_values((2, 1.5))
+        schema.check_label(1)
         with pytest.raises(ContractViolation):
-            schema.validate_instance(Instance((2,), 1))
+            schema.check_values((2,))
         with pytest.raises(ContractViolation):
-            schema.validate_instance(Instance((3, 1.5), 1))
+            schema.check_values((3, 1.5))
         with pytest.raises(ContractViolation):
-            schema.validate_instance(Instance((2, 1.5), 2))
+            schema.check_label(2)
         with pytest.raises(ContractViolation):
-            schema.validate_instance(Instance((2, math.nan), 0))
+            schema.check_values((2, math.nan))
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ContractViolation):
-                schema.validate_instance(Instance((bad, 0.5), 0))
-        schema.validate_instance(Instance((2.0, 1.5)))
+                schema.check_values((bad, 0.5))
+        schema.check_values((2.0, 1.5))
 
     @pytest.mark.parametrize("bad", [3, -1, 1.5, -0.5, 2.999, math.nan, math.inf, -math.inf])
     def test_nominal_value_outside_its_range_rejected(self, bad):
@@ -286,8 +286,6 @@ class TestSchema:
         message = r"out of range \[0, 3\) for attribute 'color'"
         with pytest.raises(ContractViolation, match=message):
             schema.check_values((bad, 0.5))
-        with pytest.raises(ContractViolation, match="out of range"):
-            schema.validate_instance(Instance((bad, 0.5), 0))
 
     @pytest.mark.parametrize("bad", ["abc", None, math.nan, math.inf, -math.inf, 10**400,
                                      complex(1, 0), Decimal("1.5"), [0.5]])
@@ -295,8 +293,6 @@ class TestSchema:
         message = r"not a finite real number for attribute 'size'"
         with pytest.raises(ContractViolation, match=message):
             self.make().check_values((2, bad))
-        with pytest.raises(ContractViolation, match=message):
-            self.make().validate_instance(Instance((2, bad), 0))
 
     @pytest.mark.parametrize("value", [0, 7, 1.5, -1e308, 10**300, Fraction(1, 3)])
     def test_finite_real_numeric_values_admitted(self, value):
@@ -317,9 +313,6 @@ class TestSchema:
         schema.check_label(1)
         with pytest.raises(ContractViolation, match=r"class index in \[0, 2\)"):
             schema.check_label(bad)
-        if bad is not None:
-            with pytest.raises(ContractViolation, match=r"class index in \[0, 2\)"):
-                schema.validate_instance(Instance((2, 0.5), bad))
 
     def test_pickle_carries_only_the_fields(self):
         schema = self.make()

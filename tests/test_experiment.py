@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import fields
 from pathlib import Path
 
@@ -349,6 +350,33 @@ class TestCli:
         assert main(["run", "--config", str(path), "--output-dir", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("stream, message", [
+        ({"type": "sea", "n": 100, "block_size": 2.5}, "block_size must be a whole number"),
+        ({"type": "led", "n": 100.5}, "n must be a whole number"),
+        ({"type": "led", "n": True}, "n must be a whole number"),
+        ({"type": "led", "n": 100, "irrelevant": -1}, "irrelevant must be a whole number"),
+        ({"type": "led", "n": 100, "noise": math.nan}, "noise must be a finite real number"),
+        ({"type": "sea", "n": 100, "thresholds": [math.nan]}, "thresholds must be a finite"),
+        ({"type": "sea", "n": 100, "thresholds": [8, math.inf]}, "thresholds must be a finite"),
+        ({"type": "rbf", "n": 100, "deviation_range": [0, math.inf]},
+         "deviation_range must be a finite real number"),
+        ({"type": "rbf", "n": 100, "n_classes": 2.0}, "n_classes must be a whole number"),
+        ({"type": "rbf", "n": 100, "deviation_range": [1]}, "not enough values to unpack"),
+    ], ids=["sea-block-float", "led-n-float", "led-n-bool", "led-irrelevant-negative",
+            "led-noise-nan", "sea-threshold-nan", "sea-threshold-inf", "rbf-deviation-inf",
+            "rbf-classes-float", "rbf-deviation-short"])
+    def test_bad_stream_parameter_is_config_error_before_any_cell_runs(self, tmp_path, capsys,
+                                                                        stream, message):
+        # json writes NaN and Infinity, and reads them back as floats.
+        payload = dict(BASE_CONFIG, streams=[*BASE_CONFIG["streams"], {"name": "bad", **stream}])
+        path = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--output-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: stream 'bad': ") and message in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_invalid_json_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

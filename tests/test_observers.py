@@ -18,7 +18,10 @@ class TestNominalObserver:
         obs = NominalObserver((0,), (3,), n_classes=2)
         obs.learn((1,), 0)
         obs.learn((1,), 0)
-        obs.learn((2.0,), 1)
+        assert obs.den is None  # no naive-Bayes read yet
+        obs.likelihoods((0,), [2.0, 0.0], np.empty((1, 2)))
+        assert obs.den.tolist() == [[5.0, 3.0]]
+        obs.learn((2.0,), 1)  # once derived, learn keeps den current
         assert (obs.num - 1.0).tolist() == [[0.0, 0.0], [2.0, 0.0], [0.0, 1.0]]
         assert obs.den.tolist() == [[5.0, 4.0]]
 
@@ -43,7 +46,7 @@ class TestNominalObserver:
             obs.learn((0,), 0)
         obs.learn((1,), 0)
         out = np.empty((1, 2))
-        obs.likelihoods((0,), out)
+        obs.likelihoods((0,), [4.0, 0.0], out)
         # class 0 saw [3, 1]: P(v=0|c=0) = (3+1)/(4+2); unseen class 1: 1/arity
         assert out.tolist() == [[4 / 6, 0.5]]
 
@@ -52,29 +55,51 @@ class TestNominalObserver:
         for values, label in [((9, 2, 9, 1, 0), 0), ((9, 0, 9, 1, 2.0), 1), ((9, 1, 9, 0, 2), 1)]:
             obs.learn(values, label)
         assert obs.num.shape == (8, 2)
+        out = np.empty((3, 2))
+        obs.likelihoods((9, 2, 9, 1, 2), [1.0, 2.0], out)
+        assert out.tolist() == [[2 / 4, 1 / 5], [2 / 3, 2 / 4], [1 / 4, 3 / 5]]
         # rows: arity 2 then arity 3, each n_c + arity
         assert obs.den.tolist() == [[3.0, 4.0], [4.0, 5.0]]
-        out = np.empty((3, 2))
-        obs.likelihoods((9, 2, 9, 1, 2), out)
-        assert out.tolist() == [[2 / 4, 1 / 5], [2 / 3, 2 / 4], [1 / 4, 3 / 5]]
 
     def test_deactivation_frees_the_rows(self):
         obs = NominalObserver((1, 3, 4), (3, 2, 3), n_classes=2)
         obs.learn((9, 2, 9, 1, 0), 0)
+        obs.likelihoods((9, 2, 9, 1, 0), [1.0, 0.0], np.empty((3, 2)))
         kept = obs.without(3)
         assert kept.attributes == (1, 4) and kept.arities == (3, 3)
         assert kept.num.tolist() == obs.num[[0, 1, 2, 5, 6, 7]].tolist()
+        assert kept.den is None  # derived afresh on the next read
+        out = np.empty((2, 2))
+        kept.likelihoods((9, 2, 9, 1, 0), [1.0, 0.0], out)
         assert kept.den.tolist() == [[4.0, 3.0]]  # the arity-2 row is gone
+        assert out.tolist() == [[2 / 4, 1 / 3], [2 / 4, 1 / 3]]
         assert kept.without(1).without(4) is None
 
     def test_pickle_carries_the_arrays_and_restores_the_views(self):
         obs = NominalObserver((0, 1), (2, 3), n_classes=2)
         obs.learn((1, 2), 0)
         copy = pickle.loads(pickle.dumps(obs))
-        assert copy.num.tolist() == obs.num.tolist() and copy.den.tolist() == obs.den.tolist()
+        assert copy.num.tolist() == obs.num.tolist() and copy.den is None
         copy.learn((0, 0), 1)
         obs.learn((0, 0), 1)
+        assert copy.num.tolist() == obs.num.tolist()
+        out, twin = np.empty((2, 2)), np.empty((2, 2))
+        obs.likelihoods((1, 2), [1.0, 1.0], out)
+        copy.likelihoods((1, 2), [1.0, 1.0], twin)
+        copy.learn((1, 1), 1)
+        obs.learn((1, 1), 1)
         assert copy.num.tolist() == obs.num.tolist() and copy.den.tolist() == obs.den.tolist()
+        assert twin.tolist() == out.tolist()
+
+    def test_pickle_carries_no_denominators(self):
+        read = NominalObserver((0, 1), (2, 3), n_classes=2)
+        unread = NominalObserver((0, 1), (2, 3), n_classes=2)
+        for obs in (read, unread):
+            obs.learn((1, 2), 0)
+        read.likelihoods((1, 2), [1.0, 0.0], np.empty((2, 2)))
+        assert read.den is not None
+        assert pickle.dumps(read) == pickle.dumps(unread)
+        assert pickle.loads(pickle.dumps(read)).den is None
 
 
 class GaussianOracle:

@@ -210,7 +210,8 @@ def generator_configs(draw):
 @settings(max_examples=60)
 def test_generated_instances_conform_to_schema(stream):
     for inst in stream:
-        stream.schema.validate_instance(inst)
+        stream.schema.check_values(inst.values)
+        stream.schema.check_label(inst.label)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 17, 2024])
@@ -226,7 +227,8 @@ def test_experiment_streams_conform_to_schema(make, seed):
     # prefixes than the random configurations above.
     stream = make(seed)
     for inst in stream:
-        stream.schema.validate_instance(inst)
+        stream.schema.check_values(inst.values)
+        stream.schema.check_label(inst.label)
 
 
 class TestCsvStream:

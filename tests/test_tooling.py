@@ -4,13 +4,18 @@
 skips a missing one with a message, so a renamed method would leave its
 traced figures at 0; the workloads call program functions through
 ``prog.<module>.<name>``.  A rename must fail here, not in a benchmark run.
+The command line the README documents starts cleanly, too.
 """
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
-BENCH = Path(__file__).resolve().parents[1] / "streambench"
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "streambench"
 MODULES = ("evaluation", "experiment", "observers", "streams", "svfdt", "tree")
 LEARNERS = ("vfdt", "svfdt-i", "svfdt-ii")
 
@@ -74,3 +79,12 @@ def test_no_traced_layer_is_left_empty(monkeypatch):
                 assert calls(span) == len(instances), (mode, algorithm, span)
             for span in ("tree.attempt", "observers.best_split"):
                 assert calls(span) >= 1, (mode, algorithm, span)
+
+
+def test_package_runs_as_a_module_without_a_warning(tmp_path):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-W", "error", "-m", "streamtree", "--help"],
+                          capture_output=True, text=True, cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: streamtree") and done.stderr == ""

@@ -12,6 +12,7 @@ from streamtree.core import (
     Schema,
     hoeffding_bound,
 )
+from streamtree.experiment import make_learner
 from streamtree.observers import SplitCandidate
 from streamtree.tree import (
     HoeffdingTree,
@@ -21,6 +22,7 @@ from streamtree.tree import (
     feature_selection,
     vfdt_split_condition,
 )
+from test_golden import stream_prefix
 
 TWO_NOMINAL = Schema((Attribute.nominal("a", 2), Attribute.nominal("b", 2)), 2)
 TWO_NUMERIC = Schema((Attribute.numeric("x"), Attribute.numeric("y")), 2)
@@ -31,6 +33,11 @@ def active(leaf):
     nominal = leaf.nominal.attributes if leaf.nominal is not None else ()
     numeric = leaf.numeric.attributes if leaf.numeric is not None else ()
     return sorted([*numeric, *nominal])
+
+
+def denominators(leaf):
+    """n_c + k of each distinct arity k of the leaf's nominal block, ascending."""
+    return [[w + k for w in leaf.observed.weights] for k in sorted(set(leaf.nominal.arities))]
 
 
 def perfect_attribute_stream(n, seed=0):
@@ -154,6 +161,43 @@ class TestPrediction:
         cls, scores = tree.predict(Instance((0,)))
         assert cls == 0
         assert scores[0] == pytest.approx((0.5 * 2 / 3) / (0.5 * 2 / 3 + 0.5 * 1 / 3))
+
+    @pytest.mark.parametrize("algorithm", ["vfdt", "svfdt-i", "svfdt-ii"])
+    @pytest.mark.parametrize("name", ["led", "csv"])
+    def test_majority_class_leaves_hold_no_denominators(self, name, algorithm, tmp_path):
+        stream = stream_prefix(name, tmp_path)
+        tree = make_learner(algorithm, stream.schema, TreeConfig(leaf_prediction="mc"))
+        instances = list(stream)
+        for inst in instances:
+            tree.train_one(inst)
+        for inst in instances[:200]:
+            tree.predict(inst)
+        blocks = [leaf.nominal for leaf in tree.iter_leaves() if leaf.nominal is not None]
+        assert blocks and tree.tree_size()[1] > 1
+        assert all(block.den is None for block in blocks)
+
+    def test_naive_bayes_denominators_are_the_observed_counts_plus_arity(self):
+        # a and b copy the label, so every check is refused at tiebreak 0 and
+        # noise attribute c, of arity 3, is deactivated at the first one.
+        schema = Schema(
+            (Attribute.nominal("a", 2), Attribute.nominal("b", 2), Attribute.nominal("c", 3)), 2
+        )
+        tree = HoeffdingTree(schema, TreeConfig(grace_period=50, tiebreak=0.0,
+                                                leaf_prediction="nb"))
+        rng = random.Random(2)
+        states = set()
+        for _ in range(400):
+            label = rng.randrange(2)
+            tree.train_one(Instance((label, label, rng.randrange(3)), label))
+            block = tree.root.nominal
+            states.add((block.arities, block.den is None))
+            if block.den is not None:
+                assert block.den.tolist() == denominators(tree.root)
+        # None before the first read and right after the deactivation; each
+        # next read derives it, and learn keeps it current
+        assert states == {((2, 2, 3), True), ((2, 2, 3), False), ((2, 2), True), ((2, 2), False)}
+        tree.predict(Instance((0, 0, 1)))
+        assert tree.root.nominal.den.tolist() == denominators(tree.root)
 
     def test_prediction_precedes_update(self):
         # Test-then-train: train_one's return value must match predict()
