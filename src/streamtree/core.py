@@ -156,12 +156,11 @@ class ClassDistribution:
     negative; ``impure`` means at least two classes carry positive weight.
     """
 
-    __slots__ = ("weights", "total", "_nonzero")
+    __slots__ = ("weights", "total")
 
     def __init__(self, n_classes: int):
         self.weights = [0.0] * n_classes
         self.total = 0.0
-        self._nonzero = 0
 
     @classmethod
     def from_weights(cls, weights) -> "ClassDistribution":
@@ -171,28 +170,23 @@ class ClassDistribution:
                 raise ContractViolation(f"negative class weight {w!r}")
             if w > 0:
                 dist.weights[i] = float(w)
-                dist._nonzero += 1
         dist.total = math.fsum(dist.weights)
         return dist
 
     def add(self, class_index: int) -> None:
         """Count one instance of the class."""
-        w = self.weights[class_index]
-        if w == 0.0:
-            self._nonzero += 1
-        self.weights[class_index] = w + 1.0
+        self.weights[class_index] += 1.0
         self.total += 1.0
 
     def copy(self) -> "ClassDistribution":
         dup = ClassDistribution(len(self.weights))
         dup.weights = list(self.weights)
         dup.total = self.total
-        dup._nonzero = self._nonzero
         return dup
 
     @property
     def impure(self) -> bool:
-        return self._nonzero >= 2
+        return len(self.weights) - self.weights.count(0.0) >= 2
 
     def argmax(self) -> int:
         """Index of the heaviest class; ties resolve to the lowest index."""

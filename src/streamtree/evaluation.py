@@ -8,7 +8,7 @@ only (stream generation is excluded).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import ContractViolation
 
@@ -27,11 +27,13 @@ class EvalRecord:
 
 @dataclass
 class RunResult:
-    """Outcome of one prequential run: final state, curve, and metadata."""
+    """Outcome of one prequential run: its snapshots, the last at stream end."""
 
-    final: EvalRecord
-    snapshots: list[EvalRecord] = field(default_factory=list)
-    metadata: dict = field(default_factory=dict)
+    snapshots: list[EvalRecord]
+
+    @property
+    def final(self) -> EvalRecord:
+        return self.snapshots[-1]
 
 
 def kappa_m(p0: float, pm: float) -> float:
@@ -80,12 +82,7 @@ class RunningMajority:
         return self.correct / self.seen if self.seen else 0.0
 
 
-def prequential_run(
-    learner,
-    stream,
-    snapshot_every: int = 10000,
-    metadata: dict | None = None,
-) -> RunResult:
+def prequential_run(learner, stream, snapshot_every: int = 10000) -> RunResult:
     """Run one learner over one stream, test-then-train, collecting snapshots."""
     if snapshot_every < 1:
         raise ContractViolation(f"snapshot_every must be >= 1, got {snapshot_every}")
@@ -119,4 +116,4 @@ def prequential_run(
         raise ContractViolation("stream produced no instances")
     if not snapshots or snapshots[-1].instances_seen != seen:
         snapshots.append(record())
-    return RunResult(final=record(), snapshots=snapshots, metadata=dict(metadata or {}))
+    return RunResult(snapshots)

@@ -37,6 +37,13 @@ SUMMARY_COLUMNS = (
     "time_mean_s,time_std_s"
 )
 CURVE_HEADER = "instances_seen,accuracy,node_count"
+# Each column of the relative table: the mean candidate/VFDT ratio of a record field.
+RELATIVE_COLUMNS = (
+    ("relative_accuracy", "accuracy"),
+    ("relative_kappa_m", "kappa_m"),
+    ("relative_size", "node_count"),
+    ("relative_time", "elapsed_train_seconds"),
+)
 
 
 def make_learner(name: str, schema, config: TreeConfig):
@@ -102,11 +109,11 @@ class ExperimentConfig:
     streams: tuple[StreamSpec, ...]
     algorithms: tuple[str, ...] = ALGORITHMS
     tiebreaks: tuple[float, ...] = (0.05, 0.10, 0.15, 0.20)
-    delta: float = 1e-5
-    grace_period: int = 200
-    leaf_prediction: str = "mc"
-    numeric_bins: int = 100
-    merit_range: str = "unit"
+    delta: float = TreeConfig.delta
+    grace_period: int = TreeConfig.grace_period
+    leaf_prediction: str = TreeConfig.leaf_prediction
+    numeric_bins: int = TreeConfig.numeric_bins
+    merit_range: str = TreeConfig.merit_range
     seeds: tuple[int, ...] = (1,)
     repetitions: int = 1
     snapshot_every: int = 10000
@@ -120,8 +127,8 @@ class ExperimentConfig:
         for algo in self.algorithms:
             if algo not in ALGORITHMS:
                 raise ConfigError(f"unknown algorithm {algo!r} (expected one of {ALGORITHMS})")
-        if not self.tiebreaks or min(self.tiebreaks) < 0:
-            raise ConfigError("config needs at least one tiebreak, each >= 0")
+        if not self.tiebreaks:
+            raise ConfigError("config needs at least one tiebreak")
         if self.repetitions < 1:
             raise ConfigError(f"repetitions must be >= 1, got {self.repetitions}")
         if not self.seeds:
@@ -131,7 +138,8 @@ class ExperimentConfig:
         # Fail fast on bad stream parameters and learner hyperparameters.
         for spec in self.streams:
             spec.build(self.seeds[0])
-        self.tree_config(self.tiebreaks[0])
+        for tiebreak in self.tiebreaks:
+            self.tree_config(tiebreak)
 
     @staticmethod
     def from_dict(raw: dict) -> "ExperimentConfig":
@@ -194,7 +202,8 @@ def run_id(stream: str, algorithm: str, tiebreak: float, seed: int, repetition: 
 
 
 def _execute_run(config: ExperimentConfig, spec: StreamSpec, seed: int, schema, instances,
-                 algorithm: str, tiebreak: float, repetition: int, cfg_hash: str) -> RunResult:
+                 algorithm: str, tiebreak: float, repetition: int, cfg_hash: str) -> dict:
+    """The results record of one cell: its metadata and its run's figures."""
     learner = make_learner(algorithm, schema, config.tree_config(tiebreak))
     metadata = {
         "run_id": run_id(spec.name, algorithm, tiebreak, seed, repetition),
@@ -208,13 +217,12 @@ def _execute_run(config: ExperimentConfig, spec: StreamSpec, seed: int, schema, 
         "rng": RNG_ALGORITHM,
         "config_hash": cfg_hash,
     }
-    return prequential_run(
-        learner, instances, snapshot_every=config.snapshot_every, metadata=metadata
-    )
+    result = prequential_run(learner, instances, snapshot_every=config.snapshot_every)
+    return {**metadata, **record_dict(result)}
 
 
 def _run_task(config: ExperimentConfig, spec: StreamSpec, seed: int, cells,
-              cfg_hash: str) -> list[RunResult]:
+              cfg_hash: str) -> list[dict]:
     """One (stream, seed): build the stream once, run each (algorithm,
     tiebreak, repetition) cell on its instances."""
     stream = spec.build(seed)
@@ -224,7 +232,7 @@ def _run_task(config: ExperimentConfig, spec: StreamSpec, seed: int, cells,
 
 
 def _in_task_order(config: ExperimentConfig, tasks, cfg_hash: str):
-    """Each task's results, in task order: on worker processes when there
+    """Each task's records, in task order: on worker processes when there
     are more than one worker and task, else in this process."""
     processes = min(config.workers, len(tasks))
     if processes < 2:
@@ -270,12 +278,10 @@ def run_experiment(config: ExperimentConfig, output_dir) -> list[dict]:
     tasks = [task for task in tasks if task[2]]
     resumed = bool(done)
     with open(path, "a", encoding="utf-8") as handle:
-        for results in _in_task_order(config, tasks, cfg_hash):
-            for result in results:
-                record = record_dict(result)
-                done[record["run_id"]] = record
-                handle.write(json.dumps(record, sort_keys=True) + "\n")
+        for task_records in _in_task_order(config, tasks, cfg_hash):
+            _write_lines(handle, task_records)
             handle.flush()
+            done.update((record["run_id"], record) for record in task_records)
     records = [done[rid] for rid in order]
     if resumed:
         _write_records(path, records)
@@ -312,15 +318,18 @@ def _write_records(path: Path, records: list[dict]) -> None:
     """Replace ``path`` with ``records``; a crash leaves the old file or the new."""
     partial = path.with_name(path.name + ".partial")
     with open(partial, "w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
+        _write_lines(handle, records)
     os.replace(partial, path)
 
 
+def _write_lines(handle, records) -> None:
+    handle.writelines(json.dumps(record, sort_keys=True) + "\n" for record in records)
+
+
 def record_dict(result: RunResult) -> dict:
+    """The run's final figures and its snapshot series, as a results record holds them."""
     final = result.final
     return {
-        **result.metadata,
         "instances_seen": final.instances_seen,
         "accuracy": final.accuracy,
         "kappa_m": final.kappa_m,
@@ -363,7 +372,8 @@ def relative_metrics(records: list[dict]) -> list[dict]:
 
     Ratios are computed per (stream, seed, repetition) pair and averaged
     over all of them for each (algorithm, tiebreak).  A baseline value of
-    zero yields a None ratio (excluded from the mean).
+    zero yields a None ratio (excluded from the mean).  A pair of any
+    record that lacks either run at some tiebreak raises PairingError.
     """
     baseline = "vfdt"
     by_key: dict[tuple, dict] = {}
@@ -377,32 +387,21 @@ def relative_metrics(records: list[dict]) -> list[dict]:
     missing = []
     rows = []
     tiebreaks = sorted({r["tiebreak"] for r in records})
-    pair_keys = sorted(
-        {(r["stream"], r["seed"], r["repetition"]) for r in records if r["algorithm"] == baseline}
-    )
-    metrics = ("accuracy", "kappa_m", "node_count", "elapsed_train_seconds")
+    pair_keys = sorted({(r["stream"], r["seed"], r["repetition"]) for r in records})
     for tiebreak in tiebreaks:
         for algorithm in candidates:
-            ratios: dict[str, list[float]] = {m: [] for m in metrics}
+            ratios: dict[str, list[float]] = {column: [] for column, _ in RELATIVE_COLUMNS}
             for stream, seed, repetition in pair_keys:
                 base = by_key.get((baseline, stream, tiebreak, seed, repetition))
                 cand = by_key.get((algorithm, stream, tiebreak, seed, repetition))
                 if base is None or cand is None:
                     missing.append((algorithm, stream, tiebreak, seed, repetition))
                     continue
-                for metric in metrics:
+                for column, metric in RELATIVE_COLUMNS:
                     if base[metric]:
-                        ratios[metric].append(cand[metric] / base[metric])
-            rows.append(
-                {
-                    "tiebreak": tiebreak,
-                    "algorithm": algorithm,
-                    "relative_accuracy": _mean_or_none(ratios["accuracy"]),
-                    "relative_kappa_m": _mean_or_none(ratios["kappa_m"]),
-                    "relative_size": _mean_or_none(ratios["node_count"]),
-                    "relative_time": _mean_or_none(ratios["elapsed_train_seconds"]),
-                }
-            )
+                        ratios[column].append(cand[metric] / base[metric])
+            rows.append({"tiebreak": tiebreak, "algorithm": algorithm,
+                         **{c: statistics.fmean(v) if v else None for c, v in ratios.items()}})
     if missing:
         listing = ", ".join(
             f"{a}/{s}/tau={t:g}/seed={sd}/rep={r}" for a, s, t, sd, r in missing[:20]
@@ -411,23 +410,13 @@ def relative_metrics(records: list[dict]) -> list[dict]:
     return rows
 
 
-def _mean_or_none(values: list[float]):
-    return statistics.fmean(values) if values else None
-
-
-def write_relative_csv(rows: list[dict], path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(
-            "tiebreak,algorithm,relative_accuracy,relative_kappa_m,"
-            "relative_size,relative_time\n"
-        )
-        for row in rows:
-            cells = [f"{row['tiebreak']:g}", row["algorithm"]] + [
-                "" if row[k] is None else f"{row[k]:.6f}"
-                for k in ("relative_accuracy", "relative_kappa_m", "relative_size",
-                          "relative_time")
-            ]
-            handle.write(",".join(cells) + "\n")
+def write_relative_csv(rows: list[dict], handle) -> None:
+    """The relative table as CSV on the text ``handle``; a None ratio is an empty cell."""
+    columns = [column for column, _ in RELATIVE_COLUMNS]
+    handle.write(",".join(["tiebreak", "algorithm", *columns]) + "\n")
+    for row in rows:
+        cells = ["" if row[c] is None else f"{row[c]:.6f}" for c in columns]
+        handle.write(",".join([f"{row['tiebreak']:g}", row["algorithm"], *cells]) + "\n")
 
 
 def export_curves(records: list[dict], output_dir) -> list[Path]:
@@ -504,21 +493,18 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "run":
-            if not os.path.exists(args.config):
-                print(f"error: config file not found: {args.config}", file=sys.stderr)
-                return 2
             config = _apply_overrides(load_config(args.config), args)
             results = run_experiment(config, args.output_dir)
             print(f"wrote {len(results)} runs to {args.output_dir}/{RESULTS_FILE}")
             return 0
         if args.command == "relative":
             rows = relative_metrics(load_records(args.results))
-            if args.output:
-                write_relative_csv(rows, args.output)
-                print(f"wrote {len(rows)} rows to {args.output}")
+            if args.output is None:
+                write_relative_csv(rows, sys.stdout)
             else:
-                for row in rows:
-                    print(row)
+                with open(args.output, "w", encoding="utf-8") as handle:
+                    write_relative_csv(rows, handle)
+                print(f"wrote {len(rows)} rows to {args.output}")
             return 0
         if args.command == "curves":
             paths = export_curves(load_records(args.results), args.output_dir)
@@ -530,7 +516,6 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:  # ValueError: malformed csv/json data files
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 0
 
 
 if __name__ == "__main__":

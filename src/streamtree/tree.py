@@ -38,8 +38,8 @@ class TreeConfig:
             raise ConfigError(f"grace_period must be >= 1, got {self.grace_period}")
         if not 0.0 < self.delta < 1.0:
             raise ConfigError(f"delta must lie in (0, 1), got {self.delta}")
-        if self.tiebreak < 0.0:
-            raise ConfigError(f"tiebreak must be >= 0, got {self.tiebreak}")
+        if not 0.0 <= self.tiebreak < math.inf:  # a NaN tiebreak would break no tie
+            raise ConfigError(f"tiebreak must be finite and >= 0, got {self.tiebreak}")
         if self.leaf_prediction not in LEAF_PREDICTION_MODES:
             raise ConfigError(f"leaf_prediction must be one of {LEAF_PREDICTION_MODES}")
         if self.numeric_bins < 1:

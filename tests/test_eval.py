@@ -88,6 +88,15 @@ class TestPrequentialRun:
         result = prequential_run(learner, constant_stream(0, 10), snapshot_every=4)
         assert [s.instances_seen for s in result.snapshots] == [4, 8, 10]
 
+    def test_tree_is_walked_once_per_snapshot_and_final_is_the_last(self, monkeypatch):
+        walks = []
+        tree_size = HoeffdingTree.tree_size
+        monkeypatch.setattr(HoeffdingTree, "tree_size",
+                            lambda self: walks.append(self) or tree_size(self))
+        result = prequential_run(HoeffdingTree(SCHEMA), constant_stream(0, 10), snapshot_every=4)
+        assert len(walks) == len(result.snapshots) == 3
+        assert result.final is result.snapshots[-1]
+
     def test_snapshot_every_equal_to_n(self):
         learner = HoeffdingTree(SCHEMA)
         result = prequential_run(learner, constant_stream(0, 10), snapshot_every=10)

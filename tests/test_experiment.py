@@ -288,6 +288,15 @@ class TestRelativeMetrics:
         with pytest.raises(PairingError, match="s2"):
             relative_metrics(records)
 
+    def test_candidate_on_a_stream_without_baseline_runs_listed(self):
+        records = [
+            fake_record("vfdt", "s1", 0.05, 1, 0.8, 100),
+            fake_record("svfdt-i", "s1", 0.05, 1, 0.8, 50),
+            fake_record("svfdt-i", "s2", 0.05, 1, 0.8, 50),
+        ]
+        with pytest.raises(PairingError, match="svfdt-i/s2/tau=0.05/seed=1/rep=1"):
+            relative_metrics(records)
+
     def test_missing_baseline_rejected(self):
         records = [fake_record("svfdt-i", "s1", 0.05, 1, 0.8, 50)]
         with pytest.raises(PairingError, match="vfdt"):
@@ -376,6 +385,17 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: stream 'bad': ") and message in err
         assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("tiebreak", [math.nan, math.inf, -0.1])
+    def test_tiebreak_that_is_not_finite_and_non_negative_is_config_error(self, tmp_path, capsys,
+                                                                          tiebreak):
+        # Every tiebreak is checked, not only the first.
+        path = write_config(tmp_path, dict(BASE_CONFIG, tiebreaks=[0.05, tiebreak]))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--output-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "tiebreak" in err and "Traceback" not in err
         assert not out.exists()
 
     def test_invalid_json_is_config_error(self, tmp_path, capsys):

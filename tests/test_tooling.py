@@ -4,9 +4,12 @@
 skips a missing one with a message, so a renamed method would leave its
 traced figures at 0; the workloads call program functions through
 ``prog.<module>.<name>``.  A rename must fail here, not in a benchmark run.
-The command line the README documents starts cleanly, too.
+The command line the README documents starts cleanly, too, and ``relative``
+prints the CSV that it writes with ``--output``.
 """
+import csv
 import importlib
+import io
 import os
 import re
 import subprocess
@@ -81,10 +84,34 @@ def test_no_traced_layer_is_left_empty(monkeypatch):
                 assert calls(span) >= 1, (mode, algorithm, span)
 
 
-def test_package_runs_as_a_module_without_a_warning(tmp_path):
+def streamtree(cwd, *args):
+    """``python -W error -m streamtree *args`` run from ``cwd``, with this checkout's source."""
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-W", "error", "-m", "streamtree", "--help"],
-                          capture_output=True, text=True, cwd=tmp_path,
+    return subprocess.run([sys.executable, "-W", "error", "-m", "streamtree", *map(str, args)],
+                          capture_output=True, text=True, cwd=cwd,
                           env=dict(os.environ, PYTHONPATH=path))
+
+
+def test_package_runs_as_a_module_without_a_warning(tmp_path):
+    done = streamtree(tmp_path, "--help")
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("usage: streamtree") and done.stderr == ""
+
+
+def test_relative_without_output_prints_the_csv_it_would_write(tmp_path):
+    from streamtree.experiment import ExperimentConfig, run_experiment
+
+    config = ExperimentConfig.from_dict({"streams": [{"type": "led", "n": 300}],
+                                         "tiebreaks": [0.05, 0.1], "snapshot_every": 100})
+    run_experiment(config, tmp_path)
+    results = tmp_path / "results.jsonl"
+    written = streamtree(tmp_path, "relative", "--results", results, "--output", "rel.csv")
+    printed = streamtree(tmp_path, "relative", "--results", results)
+    assert written.returncode == printed.returncode == 0, written.stderr + printed.stderr
+    assert printed.stderr == ""
+    with open(tmp_path / "rel.csv", encoding="utf-8", newline="") as handle:
+        expected = csv.DictReader(handle)
+        rows = list(expected)
+    got = csv.DictReader(io.StringIO(printed.stdout))
+    assert got.fieldnames == expected.fieldnames
+    assert list(got) == rows and len(rows) == 4
