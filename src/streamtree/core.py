@@ -166,8 +166,8 @@ class ClassDistribution:
     def from_weights(cls, weights) -> "ClassDistribution":
         dist = cls(len(weights))
         for i, w in enumerate(weights):
-            if w < 0:
-                raise ContractViolation(f"negative class weight {w!r}")
+            if not 0.0 <= w < math.inf:  # NaN fails both comparisons
+                raise ContractViolation(f"class {i} weight {w!r} is not finite and >= 0")
             if w > 0:
                 dist.weights[i] = float(w)
         dist.total = math.fsum(dist.weights)
@@ -177,12 +177,6 @@ class ClassDistribution:
         """Count one instance of the class."""
         self.weights[class_index] += 1.0
         self.total += 1.0
-
-    def copy(self) -> "ClassDistribution":
-        dup = ClassDistribution(len(self.weights))
-        dup.weights = list(self.weights)
-        dup.total = self.total
-        return dup
 
     @property
     def impure(self) -> bool:

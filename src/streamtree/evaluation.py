@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import ContractViolation
 
 
-@dataclass(slots=True)
-class EvalRecord:
-    """One prequential snapshot."""
+class EvalRecord(NamedTuple):
+    """One prequential snapshot; its field names are a results record's keys."""
 
     instances_seen: int
     accuracy: float
@@ -48,47 +48,18 @@ def kappa_m(p0: float, pm: float) -> float:
     return (p0 - pm) / (1.0 - pm)
 
 
-class RunningMajority:
-    """Prequential majority-class baseline: predict, then count the label.
-
-    Ties (including the empty start) resolve to the lowest class index.
-    """
-
-    __slots__ = ("counts", "current", "correct", "seen")
-
-    def __init__(self, n_classes: int):
-        self.counts = [0] * n_classes
-        self.current = 0
-        self.correct = 0
-        self.seen = 0
-
-    def predict(self) -> int:
-        return self.current
-
-    def update(self, label: int) -> None:
-        if label == self.current:
-            self.correct += 1
-        self.seen += 1
-        counts = self.counts
-        counts[label] += 1
-        cur = self.current
-        if label != cur and (
-            counts[label] > counts[cur] or (counts[label] == counts[cur] and label < cur)
-        ):
-            self.current = label
-
-    @property
-    def prequential_rate(self) -> float:
-        return self.correct / self.seen if self.seen else 0.0
-
-
 def prequential_run(learner, stream, snapshot_every: int = 10000) -> RunResult:
-    """Run one learner over one stream, test-then-train, collecting snapshots."""
+    """Run one learner over one stream, test-then-train, collecting snapshots.
+
+    Kappa M's baseline is the prequential majority class: the class with the
+    most labels counted so far, the lowest index on a tie (the empty start
+    included), predicted before each label is counted.
+    """
     if snapshot_every < 1:
         raise ContractViolation(f"snapshot_every must be >= 1, got {snapshot_every}")
-    majority = RunningMajority(learner.schema.class_count)
-    correct = 0
-    seen = 0
+    counts = [0] * learner.schema.class_count
+    majority = majority_correct = 0
+    correct = seen = 0
     elapsed = 0.0
     snapshots: list[EvalRecord] = []
     train_one = learner.train_one
@@ -96,7 +67,7 @@ def prequential_run(learner, stream, snapshot_every: int = 10000) -> RunResult:
 
     def record() -> EvalRecord:
         accuracy = correct / seen
-        pm = majority.prequential_rate
+        pm = majority_correct / seen
         kappa = kappa_m(accuracy, pm) if pm < 1.0 else 0.0
         nodes, leaves, _ = learner.tree_size()
         return EvalRecord(seen, accuracy, kappa, nodes, leaves, elapsed)
@@ -108,7 +79,12 @@ def prequential_run(learner, stream, snapshot_every: int = 10000) -> RunResult:
         elapsed += clock() - t0
         if prediction == label:
             correct += 1
-        majority.update(label)
+        counts[label] += 1
+        if label == majority:
+            majority_correct += 1
+        elif counts[label] > counts[majority] or (
+                counts[label] == counts[majority] and label < majority):
+            majority = label
         seen += 1
         if seen % snapshot_every == 0:
             snapshots.append(record())

@@ -135,6 +135,8 @@ class ExperimentConfig:
             raise ConfigError("config needs at least one seed")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
+        if self.snapshot_every < 1:
+            raise ConfigError(f"snapshot_every must be >= 1, got {self.snapshot_every}")
         # Fail fast on bad stream parameters and learner hyperparameters.
         for spec in self.streams:
             spec.build(self.seeds[0])
@@ -328,20 +330,7 @@ def _write_lines(handle, records) -> None:
 
 def record_dict(result: RunResult) -> dict:
     """The run's final figures and its snapshot series, as a results record holds them."""
-    final = result.final
-    return {
-        "instances_seen": final.instances_seen,
-        "accuracy": final.accuracy,
-        "kappa_m": final.kappa_m,
-        "node_count": final.node_count,
-        "leaf_count": final.leaf_count,
-        "elapsed_train_seconds": final.elapsed_train_seconds,
-        "snapshots": [
-            [s.instances_seen, s.accuracy, s.kappa_m, s.node_count, s.leaf_count,
-             s.elapsed_train_seconds]
-            for s in result.snapshots
-        ],
-    }
+    return {**result.final._asdict(), "snapshots": [list(s) for s in result.snapshots]}
 
 
 def _write_summary(records: list[dict], path) -> None:

@@ -16,7 +16,7 @@ from math import exp, sqrt
 import numpy as np
 from scipy.special import ndtr, xlogy
 
-from .core import ClassDistribution, entropy
+from .core import entropy
 
 # Point-mass window for zero-variance Gaussians when used as NB densities.
 _POINT_MASS_TOL = 1e-9
@@ -82,7 +82,7 @@ class NominalObserver:
 
     def likelihoods(self, values, counts, out: np.ndarray) -> None:
         """Write each attribute's P(value | class) row into ``out``, in order;
-        ``counts`` are the leaf's observed class weights."""
+        ``counts`` are the leaf's observed class counts."""
         if self.den is None:  # whole numbers, so n_c + k has the bits of k + 1 + ... + 1
             sizes = sorted(set(self.arities))
             self.den = np.add.outer(np.array(sizes, dtype=float), counts)
@@ -93,13 +93,13 @@ class NominalObserver:
         self.num.take([row + values[a] for a, row in self._plan], axis=0, out=out, mode="clip")
         np.divide(out, self.den[self._den_rows], out=out)
 
-    def best_split(self, pre_dist: ClassDistribution) -> list[SplitCandidate]:
+    def best_split(self, observed) -> list[SplitCandidate]:
         """One multiway candidate per attribute with its exact information gain,
-        none before any observation; ``pre_dist`` is what the leaf observed."""
-        n = pre_dist.total
+        none before any observation; ``observed`` are the leaf's class counts."""
+        n = math.fsum(observed)
         if n <= 0.0:
             return []
-        h = entropy(pre_dist)
+        h = entropy(observed)
         counts = (self.num - 1.0).tolist()
         candidates = []
         for (a, row), arity in zip(self._plan, self.arities):
@@ -157,7 +157,7 @@ class GaussianNumericObserver:
 
     def likelihoods(self, values, counts, out: np.ndarray) -> None:
         """Write each attribute's Gaussian density row of ``values`` into ``out``,
-        in order; ``counts`` are the leaf's observed class weights."""
+        in order; ``counts`` are the leaf's observed class counts."""
         xs = [values[a] for a in self.attributes]
         out.T[...] = [list(map(_density, xs, repeat(n), means, m2))
                       for n, means, m2 in zip(counts, self.means, self.m2)]
@@ -169,9 +169,9 @@ class GaussianNumericObserver:
             del column[j]
         return self if self.attributes else None
 
-    def best_split(self, pre_dist: ClassDistribution, bins: int) -> list[SplitCandidate]:
-        """Best threshold candidate of each attribute, in one pass; ``pre_dist``
-        is what the leaf observed, and the thresholds are ``bins`` equally
+    def best_split(self, observed, bins: int) -> list[SplitCandidate]:
+        """Best threshold candidate of each attribute, in one pass; ``observed``
+        are the leaf's class counts, and the thresholds are ``bins`` equally
         spaced points strictly between a column's min and max.
 
         A column with no observations or one repeated value has no
@@ -187,7 +187,7 @@ class GaussianNumericObserver:
         lo, hi = lo[live], hi[live]
         means = np.array(self.means)[:, live]  # (classes, attributes)
         m2 = np.array(self.m2)[:, live]
-        counts = np.array(pre_dist.weights)[:, None]
+        counts = np.array(observed, dtype=float)[:, None]
         steps = np.arange(1, bins + 1, dtype=float) / (bins + 1)
         thresholds = lo[:, None] + (hi - lo)[:, None] * steps  # (attributes, bins)
 
@@ -204,9 +204,9 @@ class GaussianNumericObserver:
         )
         above = n_c - below
 
-        n = pre_dist.total
+        n = math.fsum(observed)
         gains = (
-            entropy(pre_dist)
+            entropy(observed)
             - _column_entropies(below) * (below.sum(axis=0) / n)
             - _column_entropies(above) * (above.sum(axis=0) / n)
         )

@@ -64,9 +64,9 @@ class LeafNode:
     """A growing leaf: class counts, observers, and split-check bookkeeping.
 
     ``dist`` includes the weight inherited from the parent's post-split
-    estimate, and its total is the leaf's weight; ``observed`` counts only
-    instances this leaf has actually seen, which is exactly the population
-    the observers describe, so its weights are their class counts.
+    estimate, and its total is the leaf's weight; ``observed`` is the list
+    of whole-number class counts of the instances this leaf has actually
+    seen, which is exactly the population the observers describe.
     ``numeric`` holds the running Gaussians of every active numeric
     attribute and ``nominal`` the counts of every active nominal one; each
     is None when the leaf has no such attribute.  Deactivating an attribute
@@ -75,11 +75,11 @@ class LeafNode:
 
     __slots__ = ("dist", "observed", "numeric", "available", "last_check_weight", "nominal")
 
-    def __init__(self, schema: Schema, available: tuple[int, ...],
-                 initial_dist: ClassDistribution | None = None):
+    def __init__(self, schema: Schema, available: tuple[int, ...], weights=None):
         k = schema.class_count
-        self.dist = initial_dist.copy() if initial_dist is not None else ClassDistribution(k)
-        self.observed = ClassDistribution(k)
+        self.dist = (ClassDistribution(k) if weights is None
+                     else ClassDistribution.from_weights(weights))
+        self.observed = [0] * k
         self.available = available
         numeric = [a for a in available if not schema.attributes[a].is_nominal]
         self.numeric = GaussianNumericObserver(numeric, k) if numeric else None
@@ -90,9 +90,10 @@ class LeafNode:
 
     def learn(self, values, label: int) -> None:
         self.dist.add(label)
-        self.observed.add(label)
+        observed = self.observed
+        observed[label] += 1
         if self.numeric is not None:
-            self.numeric.learn(values, label, self.observed.weights[label])
+            self.numeric.learn(values, label, observed[label])
         if self.nominal is not None:
             self.nominal.learn(values, label)
 
@@ -237,11 +238,11 @@ class HoeffdingTree:
         factors = np.empty((1 + len(attrs) + len(numeric_attrs), len(dist)))
         np.divide(dist.weights, dist.total, out=factors[0])
         if nominal is not None:
-            nominal.likelihoods(values, leaf.observed.weights, factors[1:1 + len(attrs)])
+            nominal.likelihoods(values, leaf.observed, factors[1:1 + len(attrs)])
         if numeric is None:  # no factor exceeds 1, so the product cannot overflow
             scores = np.multiply.reduce(factors, axis=0).tolist()
         else:
-            numeric.likelihoods(values, leaf.observed.weights, factors[1 + len(attrs):])
+            numeric.likelihoods(values, leaf.observed, factors[1 + len(attrs):])
             order = np.argsort([*attrs, *numeric_attrs]) + 1  # attribute order
             with np.errstate(over="ignore", invalid="ignore"):  # a density may exceed 1
                 scores = np.multiply.reduce(factors[[0, *order]], axis=0).tolist()
@@ -304,8 +305,7 @@ class HoeffdingTree:
             child_attrs = tuple(a for a in leaf.available if a != winner.attribute)
         else:
             child_attrs = leaf.available
-        children = [LeafNode(self.schema, child_attrs, ClassDistribution.from_weights(weights))
-                    for weights in winner.post_split]
+        children = [LeafNode(self.schema, child_attrs, weights) for weights in winner.post_split]
         node = SplitNode(winner.attribute, winner.threshold, children)
         if parent is None:
             self.root = node

@@ -223,11 +223,14 @@ class TestClassDistribution:
         with pytest.raises(ContractViolation):
             ClassDistribution.from_weights([1, -2])
 
-    def test_copy_is_independent(self):
-        dist = ClassDistribution.from_weights([1, 2])
-        dup = dist.copy()
-        dup.add(0)
-        assert dist.weights == [1, 2] and dist.total == 3.0
+    @pytest.mark.parametrize("weights, bad", [
+        ([math.nan, 1.0, 2.0], "nan"),
+        ([math.inf, 1.0], "inf"),
+        ([1.0, -math.inf], "-inf"),
+    ])
+    def test_weight_not_finite_and_non_negative_rejected(self, weights, bad):
+        with pytest.raises(ContractViolation, match=f"weight {bad} is not finite"):
+            ClassDistribution.from_weights(weights)
 
     @given(st.lists(st.floats(0, 1e3), min_size=5, max_size=5),
            st.lists(st.integers(0, 4), max_size=100))

@@ -1,9 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from streamtree.core import Attribute, ContractViolation, Instance, Schema
-from streamtree.evaluation import RunningMajority, kappa_m, prequential_run
+from streamtree.evaluation import kappa_m, prequential_run
 from streamtree.streams import LedStream
 from streamtree.tree import HoeffdingTree, TreeConfig
 
@@ -33,37 +35,81 @@ class TestKappaM:
         assert values == sorted(values)
 
 
-def running_majority(labels, n_classes=2):
-    """A RunningMajority fed ``labels``, and its prediction before each one."""
-    majority = RunningMajority(n_classes)
+def reference_majority(labels, n_classes):
+    """The plain prequential majority baseline: before each label, the argmax
+    of the labels counted so far, the lowest index on a tie."""
+    counts = [0] * n_classes
     predictions = []
     for label in labels:
-        predictions.append(majority.predict())
-        majority.update(label)
-    return majority, predictions
+        predictions.append(counts.index(max(counts)))
+        counts[label] += 1
+    return predictions
+
+
+class StubLearner:
+    """Predicts the given classes in turn and never grows."""
+
+    def __init__(self, n_classes, predictions):
+        self.schema = Schema((Attribute.nominal("a", 2),), n_classes)
+        self._predictions = iter(predictions)
+
+    def train_one(self, instance):
+        return next(self._predictions)
+
+    def tree_size(self):
+        return 1, 1, 0
+
+
+def baseline_run(labels, predictions, n_classes=2):
+    """The final record of a stub run, and the reference baseline's rate."""
+    learner = StubLearner(n_classes, predictions)
+    final = prequential_run(learner, [Instance((0,), label) for label in labels]).final
+    majority = reference_majority(labels, n_classes)
+    rate = sum(m == label for m, label in zip(majority, labels)) / len(labels)
+    return final, rate
+
+
+def expected_kappa(accuracy, rate):
+    return kappa_m(accuracy, rate) if rate < 1.0 else 0.0
 
 
 class TestMajorityBaseline:
     def test_balanced_iid_stream_near_half(self):
         rng = random.Random(3)
-        majority, _ = running_majority([rng.randrange(2) for _ in range(100_000)])
-        assert majority.prequential_rate == pytest.approx(0.5, abs=0.02)
+        labels = [rng.randrange(2) for _ in range(100_000)]
+        final, rate = baseline_run(labels, [0] * len(labels))
+        assert rate == pytest.approx(0.5, abs=0.02)
+        assert final.kappa_m == expected_kappa(final.accuracy, rate)
 
     def test_constant_class_zero_benefits_from_tie_rule(self):
-        majority, predictions = running_majority([0] * 50)
-        assert predictions == [0] * 50
-        assert majority.prequential_rate == 1.0
+        assert reference_majority([0] * 50, 2) == [0] * 50
+        final, rate = baseline_run([0] * 50, [1] * 50)
+        assert rate == 1.0
+        assert final.accuracy == 0.0 and final.kappa_m == 0.0  # pm == 1 convention
 
     def test_constant_class_one_misses_first(self):
-        majority, predictions = running_majority([1] * 50)
-        assert predictions == [0] + [1] * 49
-        assert majority.prequential_rate == pytest.approx(49 / 50)
+        assert reference_majority([1] * 50, 2) == [0] + [1] * 49
+        final, rate = baseline_run([1] * 50, [0] * 50)
+        assert rate == pytest.approx(49 / 50)
+        assert final.kappa_m == pytest.approx(kappa_m(0.0, 49 / 50))
+        assert final.kappa_m == expected_kappa(final.accuracy, rate)
 
     def test_alternating_trace_by_hand(self):
         # each 0/1 tie goes back to class 0: 3 of 6 predicted right
-        majority, predictions = running_majority([0, 1, 0, 1, 0, 1])
-        assert predictions == [0] * 6
-        assert majority.prequential_rate == pytest.approx(0.5)
+        assert reference_majority([0, 1] * 3, 2) == [0] * 6
+        final, rate = baseline_run([0, 1] * 3, [1] * 6)
+        assert rate == pytest.approx(0.5)
+        assert final.kappa_m == pytest.approx(kappa_m(0.5, 0.5))
+        assert final.kappa_m == expected_kappa(final.accuracy, rate)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.integers(2, 5))
+    def test_kappa_m_reads_the_reference_baseline(self, data, n_classes):
+        classes = st.integers(0, n_classes - 1)
+        labels = data.draw(st.lists(classes, min_size=1, max_size=200))
+        predictions = data.draw(st.lists(classes, min_size=len(labels), max_size=len(labels)))
+        final, rate = baseline_run(labels, predictions, n_classes)
+        assert final.kappa_m == expected_kappa(final.accuracy, rate)
 
 
 def constant_stream(label, n):

@@ -398,6 +398,15 @@ class TestCli:
         assert err.startswith("error: ") and "tiebreak" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("every", [0, -1])
+    def test_snapshot_every_below_one_is_config_error(self, tmp_path, capsys, every):
+        path = write_config(tmp_path, dict(BASE_CONFIG, snapshot_every=every))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--output-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "snapshot_every" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_invalid_json_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{not json", encoding="utf-8")

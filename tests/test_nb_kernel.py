@@ -76,10 +76,10 @@ def nominal_likelihood(block, a, value, c):
 def gaussian_likelihood(leaf, a, value, c):
     """Gaussian density of ``value`` under class c for numeric attribute ``a``;
     a point mass where the variance is 0, and 1 for a class the leaf has not
-    observed.  The class count is the leaf's observed weight."""
+    observed.  The class count is the leaf's observed count."""
     block = leaf.numeric
     j = block.attributes.index(a)
-    n = leaf.observed.weights[c]
+    n = leaf.observed[c]
     if n <= 0.0:
         return 1.0
     diff = float(value) - block.means[c][j]

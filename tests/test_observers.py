@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamtree.core import ClassDistribution, entropy
+from streamtree.core import entropy
 from streamtree.observers import GaussianNumericObserver, NominalObserver
 from test_core import information_gain
 
@@ -30,7 +30,7 @@ class TestNominalObserver:
         for _ in range(5):
             obs.learn((0,), 0)
             obs.learn((1,), 1)
-        [cand] = obs.best_split(ClassDistribution.from_weights([5, 5]))
+        [cand] = obs.best_split([5, 5])
         assert cand.merit == pytest.approx(1.0)
         assert cand.is_nominal and len(cand.post_split) == 2
         assert cand.post_split[0] == [5.0, 0.0]
@@ -38,7 +38,7 @@ class TestNominalObserver:
 
     def test_no_observations_absent(self):
         obs = NominalObserver((0,), (2,), n_classes=2)
-        assert obs.best_split(ClassDistribution(2)) == []
+        assert obs.best_split([0, 0]) == []
 
     def test_nb_likelihood_laplace(self):
         obs = NominalObserver((0,), (2,), n_classes=2)
@@ -133,18 +133,18 @@ class Column:
 
     def __init__(self, n_classes: int):
         self.block = GaussianNumericObserver((0,), n_classes)
-        self.pre = ClassDistribution(n_classes)
+        self.pre = [0] * n_classes
 
     def observe(self, x, c: int) -> None:
-        self.pre.add(c)
-        self.block.learn((x,), c, self.pre.weights[c])
+        self.pre[c] += 1
+        self.block.learn((x,), c, self.pre[c])
 
     def mean(self, c: int) -> float:
         return self.block.means[c][0]
 
     def variance(self, c: int) -> float:
         """Unbiased variance of class c; zero until two observations exist."""
-        n = self.pre.weights[c]
+        n = self.pre[c]
         return self.block.m2[c][0] / (n - 1.0) if n > 1.0 else 0.0
 
     def best_split(self, bins: int = 100):
@@ -250,7 +250,7 @@ class TestGaussianObserver:
             return
         for c in range(3):
             total = sum(branch[c] for branch in cand.post_split)
-            assert total == pytest.approx(obs.pre.weights[c], rel=1e-6, abs=1e-9)
+            assert total == pytest.approx(obs.pre[c], rel=1e-6, abs=1e-9)
 
     @given(st.integers())
     @settings(max_examples=25)
@@ -266,7 +266,7 @@ class TestGaussianObserver:
             below = []
             above = []
             for c in range(3):
-                n_c = obs.pre.weights[c]
+                n_c = obs.pre[c]
                 if n_c == 0:
                     below.append(0.0)
                     above.append(0.0)
@@ -313,12 +313,12 @@ def test_block_matches_per_attribute_oracle_to_the_bit(history):
     attributes, n_classes, events = history
     block = GaussianNumericObserver(attributes, n_classes)
     oracles = {a: GaussianOracle(n_classes) for a in attributes}
-    pre = ClassDistribution(n_classes)
+    pre = [0] * n_classes
     for event in events:
         if event[0] == "row":
             _, values, label = event
-            pre.add(label)
-            block.learn(tuple(values), label, pre.weights[label])
+            pre[label] += 1
+            block.learn(tuple(values), label, pre[label])
             for a, oracle in oracles.items():
                 oracle.observe(values[a], label)
         elif event[0] == "drop":
@@ -333,7 +333,7 @@ def test_block_matches_per_attribute_oracle_to_the_bit(history):
     assert block.attributes == sorted(oracles)
     for j, a in enumerate(block.attributes):
         oracle = oracles[a]
-        assert pre.weights == oracle.counts
+        assert pre == oracle.counts
         assert [block.means[c][j].hex() for c in range(n_classes)] == [
             m.hex() for m in oracle.means]
         assert [block.m2[c][j].hex() for c in range(n_classes)] == [m.hex() for m in oracle.m2]

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamtree.core import Attribute, ClassDistribution, ContractViolation, Instance, Schema
+from streamtree.core import Attribute, ContractViolation, Instance, Schema
 from streamtree.experiment import ExperimentConfig, main, make_learner, run_experiment
 from streamtree.streams import LedStream, RbfStream, SeaStream
 from streamtree.svfdt import leaf_entropy_stats
@@ -37,8 +37,7 @@ def bits(snapshot):
 
 @given(st.data(), st.lists(weights, min_size=1, max_size=40))
 def test_leaf_entropy_stats_ignore_leaf_order(data, leaf_weights):
-    leaves = [LeafNode(THREE_CLASSES, (0,), ClassDistribution.from_weights(w))
-              for w in leaf_weights]
+    leaves = [LeafNode(THREE_CLASSES, (0,), w) for w in leaf_weights]
     shuffled = data.draw(st.permutations(leaves))
     assert bits(leaf_entropy_stats(shuffled)) == bits(leaf_entropy_stats(leaves))
 
@@ -126,7 +125,7 @@ def test_splits_conserve_the_leaf_weight(kind, seed, n, algorithm, mode):
     def recording_split(leaf, parent, branch, winner):
         split(leaf, parent, branch, winner)
         node = learner.root if parent is None else parent.children[branch]
-        splits.append((list(leaf.observed.weights), winner.is_nominal,
+        splits.append((list(leaf.observed), winner.is_nominal,
                        [list(child.dist.weights) for child in node.children]))
 
     learner._split = recording_split

@@ -14,14 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
-from streamtree.core import Attribute, ClassDistribution, Schema, entropy
+from streamtree.core import Attribute, Schema, entropy
 from streamtree.observers import GaussianNumericObserver, SplitCandidate, _column_entropies
 from streamtree.tree import HoeffdingTree, LeafNode
 from test_observers import GaussianOracle
 
 
 def reference_best_split(attribute: int, obs: GaussianOracle,
-                         pre_dist: ClassDistribution, bins: int):
+                         pre: list[float], bins: int):
     """One oracle's best threshold, scored on its own."""
     lo, hi = obs.vmin, obs.vmax
     if not lo < hi:
@@ -41,9 +41,9 @@ def reference_best_split(attribute: int, obs: GaussianOracle,
             below[c] = n_c * ndtr((thresholds - obs.means[c]) / sd)
     totals = np.asarray(obs.counts)
     above = totals[:, None] - below
-    n = pre_dist.total
+    n = math.fsum(pre)
     gains = (
-        entropy(pre_dist)
+        entropy(pre)
         - _column_entropies(below) * (below.sum(axis=0) / n)
         - _column_entropies(above) * (above.sum(axis=0) / n)
     )
@@ -117,7 +117,7 @@ def leaf_states(draw):
         for (_, obs), kind, pool in zip(pairs, kinds, pools):
             x = draw(finite) if kind == "free" else draw(st.sampled_from(pool))
             observe_weighted(obs, x, label, weight)
-    return pairs, ClassDistribution.from_weights(pre), bins
+    return pairs, pre, bins
 
 
 @settings(max_examples=300, deadline=None)
@@ -144,10 +144,10 @@ def test_weighted_update_of_weight_one_is_observe():
 def test_point_mass_on_a_threshold_goes_below():
     # One threshold, at 1.0; class 1 is a point mass there, so "<=" sends it left.
     obs = GaussianOracle(2)
-    pre = ClassDistribution(2)
+    pre = [0, 0]
     for x, label in ((0.0, 0), (1.0, 1), (1.0, 1), (2.0, 0)):
         obs.observe(x, label)
-        pre.add(label)
+        pre[label] += 1
     (cand,) = block_of([(0, obs)], 2).best_split(pre, 1)
     assert cand.threshold == 1.0
     assert cand.post_split[0][1] == 2.0 and cand.post_split[1][1] == 0.0
@@ -159,7 +159,7 @@ def test_no_live_observer_scores_nothing():
     constant = GaussianOracle(2)
     constant.observe(4.0, 0)
     constant.observe(4.0, 1)
-    pre = ClassDistribution.from_weights([1, 1])
+    pre = [1, 1]
     assert GaussianNumericObserver((), 2).best_split(pre, 100) == []
     assert block_of([(0, empty), (1, constant)], 2).best_split(pre, 100) == []
     fed = GaussianNumericObserver((0, 1), 2)

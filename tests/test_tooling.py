@@ -9,7 +9,9 @@ prints the CSV that it writes with ``--output``.
 """
 import csv
 import importlib
+import inspect
 import io
+import json
 import os
 import re
 import subprocess
@@ -115,3 +117,24 @@ def test_relative_without_output_prints_the_csv_it_would_write(tmp_path):
     got = csv.DictReader(io.StringIO(printed.stdout))
     assert got.fieldnames == expected.fieldnames
     assert list(got) == rows and len(rows) == 4
+
+
+def test_record_keys_are_the_eval_record_fields(monkeypatch):
+    # grid's reference reads finished records through workloads._untimed.
+    monkeypatch.syspath_prepend(str(BENCH))
+    from workloads import _untimed
+
+    from streamtree.evaluation import EvalRecord, prequential_run
+    from streamtree.experiment import make_learner, record_dict
+    from streamtree.streams import SeaStream
+    from streamtree.tree import TreeConfig
+
+    stream = SeaStream(seed=1, n=300)
+    run = prequential_run(make_learner("vfdt", stream.schema, TreeConfig()), stream,
+                          snapshot_every=100)
+    record = record_dict(run)
+    assert tuple(record) == EvalRecord._fields + ("snapshots",)
+    assert json.loads(json.dumps(record)) == record  # as results.jsonl gives it back
+    read = set(re.findall(r'record\["(\w+)"\]', inspect.getsource(_untimed)))
+    assert len(read) == 6 and read <= set(record)
+    assert _untimed(record)["snapshots"] == [s[:5] for s in record["snapshots"]]

@@ -37,7 +37,7 @@ def active(leaf):
 
 def denominators(leaf):
     """n_c + k of each distinct arity k of the leaf's nominal block, ascending."""
-    return [[w + k for w in leaf.observed.weights] for k in sorted(set(leaf.nominal.arities))]
+    return [[w + k for w in leaf.observed] for k in sorted(set(leaf.nominal.arities))]
 
 
 def perfect_attribute_stream(n, seed=0):
@@ -333,7 +333,7 @@ class TestTraining:
             tree.train_one(Instance((label + rng.random(), rng.random()), label))
         leaf = tree.sort_to_leaf(Instance((0.5, 0.5)))
         before = pickle.dumps(tree)
-        state = (leaf.dist.weights[:], leaf.observed.weights[:], pickle.dumps(leaf.numeric),
+        state = (leaf.dist.weights[:], leaf.observed[:], pickle.dumps(leaf.numeric),
                  tree.split_log[:], tree.instances_trained)
         for values, name in (((bad, 0.5), "x"), ((0.5, bad), "y")):
             message = f"finite real number for attribute '{name}'"
@@ -341,7 +341,7 @@ class TestTraining:
                 tree.train_one(Instance(values, 1))
             with pytest.raises(ContractViolation, match=message):
                 tree.predict(Instance(values))
-        assert (leaf.dist.weights, leaf.observed.weights, pickle.dumps(leaf.numeric),
+        assert (leaf.dist.weights, leaf.observed, pickle.dumps(leaf.numeric),
                 tree.split_log, tree.instances_trained) == state
         assert pickle.dumps(tree) == before
 
@@ -349,10 +349,19 @@ class TestTraining:
         tree = HoeffdingTree(TWO_NUMERIC)
         tree.train_one(Instance((1e308, 1e308), 0))
         tree.train_one(Instance((-1e308, -1e308), 1))
-        assert tree.root.observed.weights == [1.0, 1.0]
+        assert tree.root.observed == [1.0, 1.0]
         assert tree.root.numeric.vmin == [-1e308, -1e308]
         assert tree.root.numeric.vmax == [1e308, 1e308]
         assert tree.predict(Instance((1e308, 1e308)))[0] == 0
+
+    def test_leaf_starts_from_its_own_copy_of_the_branch_weights(self):
+        weights = [2.5, 0.0]
+        leaf = LeafNode(TWO_NUMERIC, (0, 1), weights)
+        weights[0] = 9.0
+        assert leaf.dist.weights == [2.5, 0.0] and leaf.dist.total == 2.5
+        assert leaf.observed == [0, 0] and leaf.last_check_weight == 2.5
+        with pytest.raises(ContractViolation, match="weight nan"):
+            LeafNode(TWO_NUMERIC, (0, 1), [math.nan, 1.0])
 
     @pytest.mark.parametrize("mode", ["mc", "nb"])
     def test_value_of_a_deactivated_attribute_still_checked(self, mode):
@@ -388,7 +397,7 @@ class TestTraining:
         n = 3000
         for inst in perfect_attribute_stream(n, seed=9):
             tree.train_one(inst)
-        observed_total = sum(leaf.observed.total for leaf in tree.iter_leaves())
+        observed_total = sum(math.fsum(leaf.observed) for leaf in tree.iter_leaves())
         assert observed_total <= n + 1e-9
 
     def test_growth_is_independent_of_leaf_prediction(self):
