@@ -170,7 +170,10 @@ class ClassDistribution:
                 raise ContractViolation(f"class {i} weight {w!r} is not finite and >= 0")
             if w > 0:
                 dist.weights[i] = float(w)
-        dist.total = math.fsum(dist.weights)
+        try:
+            dist.total = math.fsum(dist.weights)
+        except OverflowError:  # finite weights >= 0 whose sum passes the largest float
+            raise ContractViolation(f"total of weights {dist.weights!r} is not finite") from None
         return dist
 
     def add(self, class_index: int) -> None:

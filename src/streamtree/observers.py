@@ -48,7 +48,10 @@ class NominalObserver:
 
     ``num`` has one row per (attribute, value), in attribute order, and holds
     count + 1 per class: the Laplace numerator, whole numbers that ``learn``
-    updates through a flat memoryview.  A pickle carries ``num`` alone.
+    updates through a flat memoryview.  It is float32, which holds every
+    whole number up to 2^24 exactly; the learn at which a class count
+    reaches 2^24 widens it to float64 once.  A pickle carries ``num`` alone,
+    in its dtype.
     ``den`` holds n_c + k once per distinct arity k, ascending: every
     attribute sees every instance the leaf learns.  It is None until the
     first naive-Bayes read derives it from the leaf's class counts, and
@@ -60,9 +63,9 @@ class NominalObserver:
 
     def __init__(self, attributes, arities, n_classes: int, num=None):
         self.attributes, self.arities, self.n_classes = tuple(attributes), tuple(arities), n_classes
-        self.num = np.ones((sum(self.arities), n_classes)) if num is None else num
+        self.num = np.ones((sum(self.arities), n_classes), np.float32) if num is None else num
         # cast() refuses an array that is not C-contiguous, so this is a view.
-        self._counts = memoryview(self.num).cast("B").cast("d")
+        self._counts = memoryview(self.num).cast("B").cast(self.num.dtype.char)
         # (attribute, first row) pairs: value v of the attribute is row first + v.
         self._plan = list(zip(self.attributes, accumulate(self.arities[:-1], initial=0)))
         self.den, self._den_offsets = None, ()
@@ -70,7 +73,11 @@ class NominalObserver:
     def __reduce__(self):
         return NominalObserver, (self.attributes, self.arities, self.n_classes, self.num)
 
-    def learn(self, values, class_index: int) -> None:
+    def learn(self, values, class_index: int, n: int) -> None:
+        """Count one instance of the class; ``n`` is the class's count with it."""
+        if n >= 2 ** 24 and self._counts.format == "f":  # a cell, at most n + 1, may pass 2^24
+            self.num = self.num.astype(float)
+            self._counts = memoryview(self.num).cast("B").cast("d")
         counts, k = self._counts, self.n_classes
         for a, row in self._plan:
             try:
@@ -89,9 +96,9 @@ class NominalObserver:
             self._denominators = memoryview(self.den).cast("B").cast("d")
             self._den_offsets = range(0, self.den.size, self.n_classes)
             self._den_rows = slice(None) if len(sizes) == 1 else np.searchsorted(sizes, self.arities)
-        # take() accepts a whole float such as 2.0 as a row index.
-        self.num.take([row + values[a] for a, row in self._plan], axis=0, out=out, mode="clip")
-        np.divide(out, self.den[self._den_rows], out=out)
+        # take() accepts a whole float such as 2.0 as a row index; float32 -> float64 is exact.
+        rows = self.num.take([row + values[a] for a, row in self._plan], axis=0, mode="clip")
+        np.divide(rows, self.den[self._den_rows], out=out)
 
     def best_split(self, observed) -> list[SplitCandidate]:
         """One multiway candidate per attribute with its exact information gain,
@@ -111,8 +118,8 @@ class NominalObserver:
         return candidates
 
     def without(self, attribute: int) -> NominalObserver | None:
-        """The block minus ``attribute``'s rows, or None when none is left; the
-        next naive-Bayes read derives its ``den`` afresh."""
+        """The block minus ``attribute``'s rows in the block's dtype, or None when
+        none is left; the next naive-Bayes read derives its ``den`` afresh."""
         i = self.attributes.index(attribute)
         (_, row), arity = self._plan[i], self.arities[i]
         arities = self.arities[:i] + self.arities[i + 1:]

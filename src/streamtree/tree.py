@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ClassDistribution, ConfigError, Instance, Schema, hoeffding_bound
+from .core import (ClassDistribution, ConfigError, ContractViolation, Instance, Schema,
+                   hoeffding_bound)
 from .observers import GaussianNumericObserver, NominalObserver, SplitCandidate
 
 LEAF_PREDICTION_MODES = ("mc", "nb")
@@ -69,14 +70,17 @@ class LeafNode:
     seen, which is exactly the population the observers describe.
     ``numeric`` holds the running Gaussians of every active numeric
     attribute and ``nominal`` the counts of every active nominal one; each
-    is None when the leaf has no such attribute.  Deactivating an attribute
-    drops its column or its rows.
+    is None when the leaf has no such attribute, and ``learn`` hands both
+    the class's count.  Deactivating an attribute drops its column or its
+    rows.  ``weights``, one per class, seed ``dist``.
     """
 
     __slots__ = ("dist", "observed", "numeric", "available", "last_check_weight", "nominal")
 
     def __init__(self, schema: Schema, available: tuple[int, ...], weights=None):
         k = schema.class_count
+        if weights is not None and len(weights) != k:
+            raise ContractViolation(f"{len(weights)} class weights for {k} classes")
         self.dist = (ClassDistribution(k) if weights is None
                      else ClassDistribution.from_weights(weights))
         self.observed = [0] * k
@@ -95,7 +99,7 @@ class LeafNode:
         if self.numeric is not None:
             self.numeric.learn(values, label, observed[label])
         if self.nominal is not None:
-            self.nominal.learn(values, label)
+            self.nominal.learn(values, label, observed[label])
 
     def disable_attribute(self, attribute: int) -> None:
         if self.nominal is not None and attribute in self.nominal.attributes:

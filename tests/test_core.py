@@ -232,6 +232,10 @@ class TestClassDistribution:
         with pytest.raises(ContractViolation, match=f"weight {bad} is not finite"):
             ClassDistribution.from_weights(weights)
 
+    def test_weights_whose_total_overflows_rejected(self):
+        with pytest.raises(ContractViolation, match="total of weights .* is not finite"):
+            ClassDistribution.from_weights([1e308, 1e308])
+
     @given(st.lists(st.floats(0, 1e3), min_size=5, max_size=5),
            st.lists(st.integers(0, 4), max_size=100))
     def test_total_tracks_weight_sum(self, start, additions):

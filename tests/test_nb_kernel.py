@@ -65,11 +65,12 @@ def nominal_likelihood(block, a, value, c):
     """Laplace-smoothed P(value | c) of attribute ``a`` from the block's counts.
 
     The denominator sums the attribute's count row here, so the block's
-    per-arity ``den`` bookkeeping is checked, not trusted.
+    per-arity ``den`` bookkeeping is checked, not trusted.  Each count is read
+    as a Python float, so the arithmetic here is float64 whatever the block's dtype.
     """
     i = block.attributes.index(a)
     start = sum(block.arities[:i])
-    row = [block.num[start + v, c] - 1.0 for v in range(block.arities[i])]
+    row = [float(block.num[start + v, c]) - 1.0 for v in range(block.arities[i])]
     return (row[int(value)] + 1.0) / (sum(row) + block.arities[i])
 
 

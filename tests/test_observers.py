@@ -1,6 +1,7 @@
 import math
 import pickle
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,20 +17,20 @@ class TestNominalObserver:
     def test_counting(self):
         # Values arrive admitted by Schema.check_values, so 2.0 counts as 2.
         obs = NominalObserver((0,), (3,), n_classes=2)
-        obs.learn((1,), 0)
-        obs.learn((1,), 0)
+        obs.learn((1,), 0, 1)
+        obs.learn((1,), 0, 2)
         assert obs.den is None  # no naive-Bayes read yet
         obs.likelihoods((0,), [2.0, 0.0], np.empty((1, 2)))
         assert obs.den.tolist() == [[5.0, 3.0]]
-        obs.learn((2.0,), 1)  # once derived, learn keeps den current
+        obs.learn((2.0,), 1, 1)  # once derived, learn keeps den current
         assert (obs.num - 1.0).tolist() == [[0.0, 0.0], [2.0, 0.0], [0.0, 1.0]]
         assert obs.den.tolist() == [[5.0, 4.0]]
 
     def test_perfect_separation_merit(self):
         obs = NominalObserver((0,), (2,), n_classes=2)
-        for _ in range(5):
-            obs.learn((0,), 0)
-            obs.learn((1,), 1)
+        for n in range(1, 6):
+            obs.learn((0,), 0, n)
+            obs.learn((1,), 1, n)
         [cand] = obs.best_split([5, 5])
         assert cand.merit == pytest.approx(1.0)
         assert cand.is_nominal and len(cand.post_split) == 2
@@ -42,9 +43,9 @@ class TestNominalObserver:
 
     def test_nb_likelihood_laplace(self):
         obs = NominalObserver((0,), (2,), n_classes=2)
-        for _ in range(3):
-            obs.learn((0,), 0)
-        obs.learn((1,), 0)
+        for n in range(1, 4):
+            obs.learn((0,), 0, n)
+        obs.learn((1,), 0, 4)
         out = np.empty((1, 2))
         obs.likelihoods((0,), [4.0, 0.0], out)
         # class 0 saw [3, 1]: P(v=0|c=0) = (3+1)/(4+2); unseen class 1: 1/arity
@@ -52,8 +53,9 @@ class TestNominalObserver:
 
     def test_one_denominator_row_per_arity(self):
         obs = NominalObserver((1, 3, 4), (3, 2, 3), n_classes=2)
-        for values, label in [((9, 2, 9, 1, 0), 0), ((9, 0, 9, 1, 2.0), 1), ((9, 1, 9, 0, 2), 1)]:
-            obs.learn(values, label)
+        for values, label, n in [((9, 2, 9, 1, 0), 0, 1), ((9, 0, 9, 1, 2.0), 1, 1),
+                                 ((9, 1, 9, 0, 2), 1, 2)]:
+            obs.learn(values, label, n)
         assert obs.num.shape == (8, 2)
         out = np.empty((3, 2))
         obs.likelihoods((9, 2, 9, 1, 2), [1.0, 2.0], out)
@@ -63,7 +65,7 @@ class TestNominalObserver:
 
     def test_deactivation_frees_the_rows(self):
         obs = NominalObserver((1, 3, 4), (3, 2, 3), n_classes=2)
-        obs.learn((9, 2, 9, 1, 0), 0)
+        obs.learn((9, 2, 9, 1, 0), 0, 1)
         obs.likelihoods((9, 2, 9, 1, 0), [1.0, 0.0], np.empty((3, 2)))
         kept = obs.without(3)
         assert kept.attributes == (1, 4) and kept.arities == (3, 3)
@@ -77,17 +79,17 @@ class TestNominalObserver:
 
     def test_pickle_carries_the_arrays_and_restores_the_views(self):
         obs = NominalObserver((0, 1), (2, 3), n_classes=2)
-        obs.learn((1, 2), 0)
+        obs.learn((1, 2), 0, 1)
         copy = pickle.loads(pickle.dumps(obs))
         assert copy.num.tolist() == obs.num.tolist() and copy.den is None
-        copy.learn((0, 0), 1)
-        obs.learn((0, 0), 1)
+        copy.learn((0, 0), 1, 1)
+        obs.learn((0, 0), 1, 1)
         assert copy.num.tolist() == obs.num.tolist()
         out, twin = np.empty((2, 2)), np.empty((2, 2))
         obs.likelihoods((1, 2), [1.0, 1.0], out)
         copy.likelihoods((1, 2), [1.0, 1.0], twin)
-        copy.learn((1, 1), 1)
-        obs.learn((1, 1), 1)
+        copy.learn((1, 1), 1, 2)
+        obs.learn((1, 1), 1, 2)
         assert copy.num.tolist() == obs.num.tolist() and copy.den.tolist() == obs.den.tolist()
         assert twin.tolist() == out.tolist()
 
@@ -95,11 +97,92 @@ class TestNominalObserver:
         read = NominalObserver((0, 1), (2, 3), n_classes=2)
         unread = NominalObserver((0, 1), (2, 3), n_classes=2)
         for obs in (read, unread):
-            obs.learn((1, 2), 0)
+            obs.learn((1, 2), 0, 1)
         read.likelihoods((1, 2), [1.0, 0.0], np.empty((2, 2)))
         assert read.den is not None
         assert pickle.dumps(read) == pickle.dumps(unread)
         assert pickle.loads(pickle.dumps(read)).den is None
+
+    def test_block_is_float32_and_widens_where_a_class_count_reaches_2_to_24(self):
+        # Class 0 has been seen 2^24 - 3 times: value 0 of attribute 0 all but
+        # twice, value 2 of attribute 1 every time; class 1 five times.
+        n0 = LIMIT - 3
+        counts = [[n0 - 2, 0], [2, 5], [0, 5], [0, 0], [n0, 0]]
+        block = NominalObserver((0, 1), (2, 3), 2, np.array(counts, np.float32) + 1)
+        wide = NominalObserver((0, 1), (2, 3), 2, np.array(counts, np.float64) + 1)
+        probes = [(0, 2), (1, 0), (1, 1)]
+        for n in range(n0 + 1, LIMIT + 4):
+            for obs in (block, wide):
+                obs.learn((0, 2), 0, n)
+            counts[0][0] += 1
+            counts[4][0] += 1
+            assert block.num.dtype == (np.float32 if n < LIMIT else np.float64)
+            assert block.num.tolist() == [[c + 1 for c in row] for row in counts]
+            for values in probes:
+                out, twin = np.empty((2, 2)), np.empty((2, 2))
+                block.likelihoods(values, [n, 5], out)
+                wide.likelihoods(values, [n, 5], twin)
+                assert hexes(out) == hexes(twin)
+            copy = pickle.loads(pickle.dumps(block))
+            assert copy.num.dtype == block.num.dtype and copy.num.tolist() == block.num.tolist()
+        assert counts[4][0] + 1 == LIMIT + 4  # past what float32 holds exactly
+
+    def test_float64_block_from_an_older_pickle_learns_and_predicts_with_its_bits(self):
+        old = pickle.loads(pickle.dumps(NominalObserver((0, 2), (3, 2), 3, np.ones((5, 3)))))
+        new = NominalObserver((0, 2), (3, 2), 3)
+        assert old.num.dtype == np.float64 and new.num.dtype == np.float32
+        rng, counts = random.Random(3), [0, 0, 0]
+        for _ in range(300):
+            values, c = (rng.randrange(3), 9, rng.randrange(2)), rng.randrange(3)
+            counts[c] += 1
+            for obs in (old, new):
+                obs.learn(values, c, counts[c])
+            out, twin = np.empty((2, 3)), np.empty((2, 3))
+            old.likelihoods(values, counts, out)
+            new.likelihoods(values, counts, twin)
+            # the parent's bits: (n_vc + 1) / (n_c + arity), each a float64 division
+            expected = [[float(old.num[row + values[a], c]) / (counts[c] + arity)
+                         for c in range(3)] for a, row, arity in ((0, 0, 3), (2, 3, 2))]
+            assert hexes(out) == hexes(twin) == [x.hex() for row in expected for x in row]
+        assert old.num.dtype == np.float64 and old.num.tolist() == new.num.tolist()
+        assert old.best_split(counts) == new.best_split(counts)
+
+
+LIMIT = 2 ** 24
+
+
+def hexes(array):
+    return [x.hex() for x in array.ravel().tolist()]
+
+
+@settings(max_examples=60, deadline=None)
+@given(arities=st.lists(st.integers(2, 4), min_size=1, max_size=6),
+       n_classes=st.integers(2, 5), data=st.data())
+def test_block_counts_every_cell_in_float32_through_deactivations(arities, n_classes, data):
+    # Nominal attributes at even positions; the odd ones are never read.
+    attributes = tuple(range(0, 2 * len(arities), 2))
+    block = NominalObserver(attributes, arities, n_classes)
+    seen, counts = Counter(), [0] * n_classes
+    steps = data.draw(st.lists(st.one_of(
+        st.tuples(*(st.integers(0, k - 1) for k in arities), st.integers(0, n_classes - 1)),
+        st.sampled_from(attributes),
+    ), max_size=150))
+    for step in steps:
+        if isinstance(step, int):  # deactivate the attribute, if still active
+            if step in block.attributes:
+                block = block.without(step)
+                if block is None:
+                    return
+            continue
+        *drawn, c = step
+        values = [v for value in drawn for v in (value, -1)]
+        counts[c] += 1
+        block.learn(values, c, counts[c])
+        seen.update((a, values[a], c) for a in attributes)
+    assert block.num.dtype == np.float32 and block.num.nbytes == 4 * block.num.size
+    cells = [[seen[a, v, c] for c in range(n_classes)]
+             for a, arity in zip(block.attributes, block.arities) for v in range(arity)]
+    assert (block.num - 1).tolist() == cells
 
 
 class GaussianOracle:

@@ -363,6 +363,12 @@ class TestTraining:
         with pytest.raises(ContractViolation, match="weight nan"):
             LeafNode(TWO_NUMERIC, (0, 1), [math.nan, 1.0])
 
+    @pytest.mark.parametrize("weights", [[1.0], [1.0, 2.0, 3.0]])
+    def test_one_weight_per_class_required(self, weights):
+        schema = Schema((Attribute.numeric("x"),), 2)
+        with pytest.raises(ContractViolation, match=f"{len(weights)} class weights for 2 classes"):
+            LeafNode(schema, (0,), weights)
+
     @pytest.mark.parametrize("mode", ["mc", "nb"])
     def test_value_of_a_deactivated_attribute_still_checked(self, mode):
         # a and b copy the label, so their merits tie and every check is
