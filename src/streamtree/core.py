@@ -8,6 +8,7 @@ numeric attributes produce fractional per-class weights.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -21,6 +22,16 @@ class ConfigError(ValueError):
 
 
 _LOG2 = math.log(2.0)
+
+
+def checked(name: str, value, low=-math.inf, high=math.inf, whole: bool = False):
+    """``value`` when it is a finite real number in [low, high], an int when
+    ``whole``; otherwise a ConfigError that names the parameter."""
+    if (isinstance(value, bool) or not isinstance(value, int if whole else (int, float))
+            or not low <= value <= high or abs(value) > sys.float_info.max):
+        kind = "a whole number" if whole else "a finite real number"
+        raise ConfigError(f"{name} must be {kind} in [{low}, {high}], got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -75,6 +86,9 @@ class Schema:
             )
         elif len(self.class_names) != self.class_count:
             raise ConfigError("class_names length must equal class_count")
+        for name in self.class_names:
+            if self.class_names.count(name) > 1:
+                raise ConfigError(f"class_names declare {name!r} twice")
         # (admitted values, getter) per nominal arity: membership admits 2.0 and
         # rejects 1.5, -1, nan and inf.  A repeated index keeps a getter's result
         # a tuple; a group of every attribute takes the values as they are.

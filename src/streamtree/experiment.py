@@ -16,13 +16,13 @@ import json
 import os
 import statistics
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import repeat
 from pathlib import Path
 
-from .core import ConfigError
+from .core import ConfigError, checked
 from .evaluation import RunResult, prequential_run
+from .observers import scipy_special
 from .streams import RNG_ALGORITHM, CsvColumn, CsvStream, LedStream, RbfStream, SeaStream
 from .svfdt import StrictHoeffdingTree
 from .tree import HoeffdingTree, TreeConfig
@@ -129,14 +129,11 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown algorithm {algo!r} (expected one of {ALGORITHMS})")
         if not self.tiebreaks:
             raise ConfigError("config needs at least one tiebreak")
-        if self.repetitions < 1:
-            raise ConfigError(f"repetitions must be >= 1, got {self.repetitions}")
+        checked("repetitions", self.repetitions, 1, whole=True)
         if not self.seeds:
             raise ConfigError("config needs at least one seed")
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
-        if self.snapshot_every < 1:
-            raise ConfigError(f"snapshot_every must be >= 1, got {self.snapshot_every}")
+        checked("workers", self.workers, 1, whole=True)
+        checked("snapshot_every", self.snapshot_every, 1, whole=True)
         # Fail fast on bad stream parameters and learner hyperparameters.
         for spec in self.streams:
             spec.build(self.seeds[0])
@@ -240,6 +237,8 @@ def _in_task_order(config: ExperimentConfig, tasks, cfg_hash: str):
     if processes < 2:
         yield from (_run_task(config, *task, cfg_hash) for task in tasks)
     else:
+        from concurrent.futures import ProcessPoolExecutor
+        scipy_special()  # forked workers share the loaded module instead of each importing it
         with ProcessPoolExecutor(max_workers=processes) as pool:
             yield from pool.map(_run_task, repeat(config), *zip(*tasks), repeat(cfg_hash))
 

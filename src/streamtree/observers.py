@@ -5,22 +5,33 @@ attributes in one array block, and one running Gaussian per class
 (one-pass mean/variance) plus the observed range of all its numeric
 attributes in another; candidate thresholds are scored through the
 class-conditional normal CDF.
+
+That CDF (``ndtr``) and ``xlogy`` come from ``scipy.special``, the package's
+slowest import, which ``scipy_special`` loads on first use: in the numeric split
+search and in the numeric observer's constructor.  Nominal leaves never load it.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from itertools import accumulate, repeat
 from math import exp, sqrt
 
 import numpy as np
-from scipy.special import ndtr, xlogy
 
 from .core import entropy
 
 # Point-mass window for zero-variance Gaussians when used as NB densities.
 _POINT_MASS_TOL = 1e-9
 _TWO_PI = 2.0 * math.pi
+
+
+@cache
+def scipy_special():
+    """The ``scipy.special`` module, imported on the first call."""
+    import scipy.special
+    return scipy.special
 
 
 @dataclass(slots=True)
@@ -142,6 +153,7 @@ class GaussianNumericObserver:
     __slots__ = ("attributes", "means", "m2", "vmin", "vmax")
 
     def __init__(self, attributes, n_classes: int):
+        scipy_special()  # imported here, so no train_one pays for the import
         self.attributes = list(attributes)
         width = len(self.attributes)
         self.means = [[0.0] * width for _ in range(n_classes)]
@@ -206,7 +218,7 @@ class GaussianNumericObserver:
         spread = sd > 0.0
         below = np.where(
             spread,
-            n_c * ndtr((thresholds - mu) / np.where(spread, sd, 1.0)),
+            n_c * scipy_special().ndtr((thresholds - mu) / np.where(spread, sd, 1.0)),
             np.where(mu <= thresholds, n_c, 0.0),
         )
         above = n_c - below
@@ -247,6 +259,6 @@ def _column_entropies(matrix: np.ndarray) -> np.ndarray:
     totals = matrix.sum(axis=0)
     safe = np.where(totals > 0.0, totals, 1.0)
     p = matrix / safe
-    h = -xlogy(p, p).sum(axis=0) / math.log(2.0)
+    h = -scipy_special().xlogy(p, p).sum(axis=0) / math.log(2.0)
     return np.where(totals > 0.0, h, 0.0)
 

@@ -10,11 +10,10 @@ from __future__ import annotations
 import csv
 import math
 import random
-import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .core import Attribute, ConfigError, Instance, Schema
+from .core import Attribute, ConfigError, Instance, Schema, checked
 
 RNG_ALGORITHM = "python-random-mt19937"
 
@@ -52,16 +51,6 @@ class StreamFormatError(ValueError):
         return f"{message} ({where})"
 
 
-def _checked(name: str, value, low=-math.inf, high=math.inf, whole: bool = False):
-    """``value`` when it is a finite real number in [low, high], an int when
-    ``whole``; otherwise a ConfigError that names the parameter."""
-    if (isinstance(value, bool) or not isinstance(value, int if whole else (int, float))
-            or not low <= value <= high or abs(value) > sys.float_info.max):
-        kind = "a whole number" if whole else "a finite real number"
-        raise ConfigError(f"{name} must be {kind} in [{low}, {high}], got {value!r}")
-    return value
-
-
 class LedStream:
     """Digit stream from a noisy seven-segment display.
 
@@ -71,10 +60,10 @@ class LedStream:
     """
 
     def __init__(self, noise: float = 0.0, irrelevant: int = 17, seed: int = 1, n: int = 1000):
-        self.noise = _checked("noise", noise, 0, 1)
-        self.irrelevant = _checked("irrelevant", irrelevant, 0, whole=True)
+        self.noise = checked("noise", noise, 0, 1)
+        self.irrelevant = checked("irrelevant", irrelevant, 0, whole=True)
         self.seed = seed
-        self.n = _checked("n", n, 1, whole=True)
+        self.n = checked("n", n, 1, whole=True)
         attrs = [Attribute.nominal(f"seg_{i}", 2) for i in range(7)]
         attrs += [Attribute.nominal(f"noise_{i}", 2) for i in range(irrelevant)]
         self.schema = Schema(tuple(attrs), 10, tuple(str(d) for d in range(10)))
@@ -117,12 +106,12 @@ class SeaStream:
         if not thresholds:
             raise ConfigError("thresholds must not be empty")
         self.seed = seed
-        self.n = _checked("n", n, 1, whole=True)
-        self.thresholds = tuple(float(_checked("thresholds", t)) for t in thresholds)
+        self.n = checked("n", n, 1, whole=True)
+        self.thresholds = tuple(float(checked("thresholds", t)) for t in thresholds)
         if block_size is None:
             block_size = max(1, n // len(thresholds))
-        self.block_size = _checked("block_size", block_size, 1, whole=True)
-        self.noise = _checked("noise", noise, 0, 1)
+        self.block_size = checked("block_size", block_size, 1, whole=True)
+        self.noise = checked("noise", noise, 0, 1)
         attrs = tuple(Attribute.numeric(f"f{i + 1}") for i in range(3))
         self.schema = Schema(attrs, 2, ("le", "gt"))
 
@@ -157,14 +146,14 @@ class RbfStream:
         n: int = 1000,
         deviation_range: tuple[float, float] = (0.0, 1.0),
     ):
-        self.n_attrs = _checked("n_attrs", n_attrs, 1, whole=True)
-        self.n_classes = _checked("n_classes", n_classes, 2, whole=True)
-        self.n_centroids = _checked("n_centroids", n_centroids, n_classes, whole=True)
+        self.n_attrs = checked("n_attrs", n_attrs, 1, whole=True)
+        self.n_classes = checked("n_classes", n_classes, 2, whole=True)
+        self.n_centroids = checked("n_centroids", n_centroids, n_classes, whole=True)
         self.seed = seed
-        self.n = _checked("n", n, 1, whole=True)
+        self.n = checked("n", n, 1, whole=True)
         lo, hi = deviation_range
-        lo = _checked("deviation_range", lo, 0)
-        self.deviation_range = (float(lo), float(_checked("deviation_range", hi, lo)))
+        lo = checked("deviation_range", lo, 0)
+        self.deviation_range = (float(lo), float(checked("deviation_range", hi, lo)))
         attrs = tuple(Attribute.numeric(f"x{i}") for i in range(n_attrs))
         self.schema = Schema(attrs, n_classes)
         self.centroids = self._draw_centroids(random.Random(seed))
@@ -226,6 +215,9 @@ class CsvColumn:
         if self.kind == "nominal":
             if not self.values or len(self.values) < 2:
                 raise ConfigError(f"nominal column {self.name!r} needs >= 2 declared values")
+            for value in self.values:
+                if self.values.count(value) > 1:  # it would take the index of its last entry
+                    raise ConfigError(f"nominal column {self.name!r} declares {value!r} twice")
             return Attribute.nominal(self.name, len(self.values))
         if self.kind == "numeric":
             return Attribute.numeric(self.name)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (ClassDistribution, ConfigError, ContractViolation, Instance, Schema,
-                   hoeffding_bound)
+                   checked, hoeffding_bound)
 from .observers import GaussianNumericObserver, NominalObserver, SplitCandidate
 
 LEAF_PREDICTION_MODES = ("mc", "nb")
@@ -35,16 +35,14 @@ class TreeConfig:
     merit_range: str = "unit"
 
     def __post_init__(self) -> None:
-        if self.grace_period < 1:
-            raise ConfigError(f"grace_period must be >= 1, got {self.grace_period}")
+        checked("grace_period", self.grace_period, 1, whole=True)
         if not 0.0 < self.delta < 1.0:
             raise ConfigError(f"delta must lie in (0, 1), got {self.delta}")
         if not 0.0 <= self.tiebreak < math.inf:  # a NaN tiebreak would break no tie
             raise ConfigError(f"tiebreak must be finite and >= 0, got {self.tiebreak}")
         if self.leaf_prediction not in LEAF_PREDICTION_MODES:
             raise ConfigError(f"leaf_prediction must be one of {LEAF_PREDICTION_MODES}")
-        if self.numeric_bins < 1:
-            raise ConfigError(f"numeric_bins must be >= 1, got {self.numeric_bins}")
+        checked("numeric_bins", self.numeric_bins, 1, whole=True)
         if self.merit_range not in MERIT_RANGE_MODES:
             raise ConfigError(f"merit_range must be one of {MERIT_RANGE_MODES}")
 

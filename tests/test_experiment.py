@@ -66,6 +66,13 @@ class TestConfig:
         with pytest.raises(ConfigError, match="tiebreak"):
             ExperimentConfig.from_dict(raw)
 
+    @pytest.mark.parametrize("field", ["repetitions", "workers", "snapshot_every"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 2.5, True, 0])
+    def test_count_that_is_not_a_whole_number_from_one_rejected(self, field, bad):
+        streams = ExperimentConfig.from_dict(BASE_CONFIG).streams
+        with pytest.raises(ConfigError, match=f"{field} must be a whole number"):
+            ExperimentConfig(streams, **{field: bad})
+
     def test_stream_missing_required_field(self):
         spec = StreamSpec.from_dict({"type": "led"})
         with pytest.raises(ConfigError, match="'n'"):
@@ -372,9 +379,15 @@ class TestCli:
          "deviation_range must be a finite real number"),
         ({"type": "rbf", "n": 100, "n_classes": 2.0}, "n_classes must be a whole number"),
         ({"type": "rbf", "n": 100, "deviation_range": [1]}, "not enough values to unpack"),
+        ({"type": "csv", "path": "data.csv", "classes": ["p", "q"],
+          "columns": [{"name": "c", "kind": "nominal", "values": ["a", "a"]}]},
+         "nominal column 'c' declares 'a' twice"),
+        ({"type": "csv", "path": "data.csv", "classes": ["p", "p"],
+          "columns": [{"name": "c", "kind": "nominal", "values": ["a", "b"]}]},
+         "class_names declare 'p' twice"),
     ], ids=["sea-block-float", "led-n-float", "led-n-bool", "led-irrelevant-negative",
             "led-noise-nan", "sea-threshold-nan", "sea-threshold-inf", "rbf-deviation-inf",
-            "rbf-classes-float", "rbf-deviation-short"])
+            "rbf-classes-float", "rbf-deviation-short", "csv-value-twice", "csv-class-twice"])
     def test_bad_stream_parameter_is_config_error_before_any_cell_runs(self, tmp_path, capsys,
                                                                         stream, message):
         # json writes NaN and Infinity, and reads them back as floats.

@@ -277,6 +277,19 @@ class TestCsvStream:
         with pytest.raises(StreamFormatError, match="'maybe'"):
             list(stream)
 
+    @pytest.mark.parametrize("columns, classes, message", [
+        ([CsvColumn("c", "nominal", ("a", "a"))], ("p", "q"), "column 'c' declares 'a' twice"),
+        ([CsvColumn("c", "nominal", ("a", "b", "a"))], ("p", "q"),
+         "column 'c' declares 'a' twice"),
+        ([CsvColumn("c", "nominal", ("a", "b"))], ("p", "p"), "class_names declare 'p' twice"),
+    ], ids=["value-twice", "value-twice-apart", "class-twice"])
+    def test_repeated_declared_value_rejected(self, tmp_path, columns, classes, message):
+        # A repeated value would map to its last index, leaving an earlier index unused.
+        path = tmp_path / "data.csv"
+        path.write_text("a,p\na,p\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=message):
+            CsvStream(path, columns, classes)
+
 
 @pytest.mark.parametrize("column", ["size", None])
 def test_stream_format_error_survives_pickling(column):

@@ -7,6 +7,7 @@ import pytest
 from streamtree.core import (
     Attribute,
     ClassDistribution,
+    ConfigError,
     ContractViolation,
     Instance,
     Schema,
@@ -434,6 +435,17 @@ class TestTraining:
             noisy = label if rng.random() < 0.7 else 1 - label
             tree.train_one(Instance((noisy, rng.randrange(2)), label))
         assert tree.split_log, "tiebreak regime must grow the tree"
+
+
+class TestTreeConfig:
+    @pytest.mark.parametrize("field", ["grace_period", "numeric_bins"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, True, 2.5, 2.0, 0, -1])
+    def test_count_that_is_not_a_whole_number_from_one_rejected(self, field, bad):
+        with pytest.raises(ConfigError, match=f"{field} must be a whole number in \\[1, inf\\]"):
+            TreeConfig(**{field: bad})
+
+    def test_count_of_one_accepted(self):
+        assert TreeConfig(grace_period=1, numeric_bins=1).numeric_bins == 1
 
 
 class TestSplitCondition:
