@@ -238,7 +238,8 @@ def _in_task_order(config: ExperimentConfig, tasks, cfg_hash: str):
         yield from (_run_task(config, *task, cfg_hash) for task in tasks)
     else:
         from concurrent.futures import ProcessPoolExecutor
-        scipy_special()  # forked workers share the loaded module instead of each importing it
+        if any(not a.is_nominal for s, seed, _ in tasks for a in s.build(seed).schema.attributes):
+            scipy_special()  # forked workers share the loaded module instead of each importing it
         with ProcessPoolExecutor(max_workers=processes) as pool:
             yield from pool.map(_run_task, repeat(config), *zip(*tasks), repeat(cfg_hash))
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
-from itertools import accumulate, repeat
+from itertools import accumulate
 from math import exp, sqrt
 
 import numpy as np
@@ -57,28 +57,29 @@ class SplitCandidate:
 class NominalObserver:
     """Laplace-smoothed class counts of every active nominal attribute of one leaf.
 
-    ``num`` has one row per (attribute, value), in attribute order, and holds
-    count + 1 per class: the Laplace numerator, whole numbers that ``learn``
-    updates through a flat memoryview.  It is float32, which holds every
+    ``num`` has one row per (attribute, value), in attribute order (``rows``
+    holds each attribute's first row), and holds count + 1 per class: the
+    Laplace numerator, whole numbers that ``learn`` updates through
+    ``num_flat``, a flat memoryview.  It is float32, which holds every
     whole number up to 2^24 exactly; the learn at which a class count
     reaches 2^24 widens it to float64 once.  A pickle carries ``num`` alone,
     in its dtype.
     ``den`` holds n_c + k once per distinct arity k, ascending: every
     attribute sees every instance the leaf learns.  It is None until the
-    first naive-Bayes read derives it from the leaf's class counts, and
-    ``learn`` keeps it current from then on.
+    first ``likelihoods`` call, the numpy gather of naive Bayes, derives it
+    from the leaf's class counts, and ``learn`` keeps it current from then on.
     """
 
     __slots__ = ("attributes", "arities", "n_classes", "num", "den",
-                 "_counts", "_denominators", "_plan", "_den_offsets", "_den_rows")
+                 "num_flat", "_denominators", "rows", "_den_offsets", "_den_rows")
 
     def __init__(self, attributes, arities, n_classes: int, num=None):
         self.attributes, self.arities, self.n_classes = tuple(attributes), tuple(arities), n_classes
         self.num = np.ones((sum(self.arities), n_classes), np.float32) if num is None else num
         # cast() refuses an array that is not C-contiguous, so this is a view.
-        self._counts = memoryview(self.num).cast("B").cast(self.num.dtype.char)
+        self.num_flat = memoryview(self.num).cast("B").cast(self.num.dtype.char)
         # (attribute, first row) pairs: value v of the attribute is row first + v.
-        self._plan = list(zip(self.attributes, accumulate(self.arities[:-1], initial=0)))
+        self.rows = list(zip(self.attributes, accumulate(self.arities[:-1], initial=0)))
         self.den, self._den_offsets = None, ()
 
     def __reduce__(self):
@@ -86,11 +87,11 @@ class NominalObserver:
 
     def learn(self, values, class_index: int, n: int) -> None:
         """Count one instance of the class; ``n`` is the class's count with it."""
-        if n >= 2 ** 24 and self._counts.format == "f":  # a cell, at most n + 1, may pass 2^24
+        if n >= 2 ** 24 and self.num_flat.format == "f":  # a cell, at most n + 1, may pass 2^24
             self.num = self.num.astype(float)
-            self._counts = memoryview(self.num).cast("B").cast("d")
-        counts, k = self._counts, self.n_classes
-        for a, row in self._plan:
+            self.num_flat = memoryview(self.num).cast("B").cast("d")
+        counts, k = self.num_flat, self.n_classes
+        for a, row in self.rows:
             try:
                 counts[(row + values[a]) * k + class_index] += 1.0
             except TypeError:  # a whole float such as 2.0 indexes no memoryview
@@ -108,7 +109,7 @@ class NominalObserver:
             self._den_offsets = range(0, self.den.size, self.n_classes)
             self._den_rows = slice(None) if len(sizes) == 1 else np.searchsorted(sizes, self.arities)
         # take() accepts a whole float such as 2.0 as a row index; float32 -> float64 is exact.
-        rows = self.num.take([row + values[a] for a, row in self._plan], axis=0, mode="clip")
+        rows = self.num.take([row + values[a] for a, row in self.rows], axis=0, mode="clip")
         np.divide(rows, self.den[self._den_rows], out=out)
 
     def best_split(self, observed) -> list[SplitCandidate]:
@@ -120,7 +121,7 @@ class NominalObserver:
         h = entropy(observed)
         counts = (self.num - 1.0).tolist()
         candidates = []
-        for (a, row), arity in zip(self._plan, self.arities):
+        for (a, row), arity in zip(self.rows, self.arities):
             post = counts[row:row + arity]
             gain = h
             for weights in post:  # an empty branch subtracts 0.0, which changes no bit
@@ -130,9 +131,9 @@ class NominalObserver:
 
     def without(self, attribute: int) -> NominalObserver | None:
         """The block minus ``attribute``'s rows in the block's dtype, or None when
-        none is left; the next naive-Bayes read derives its ``den`` afresh."""
+        none is left; the next ``likelihoods`` call derives its ``den`` afresh."""
         i = self.attributes.index(attribute)
-        (_, row), arity = self._plan[i], self.arities[i]
+        (_, row), arity = self.rows[i], self.arities[i]
         arities = self.arities[:i] + self.arities[i + 1:]
         if not arities:
             return None
@@ -173,13 +174,6 @@ class GaussianNumericObserver:
                 vmin[j] = float(x)
             if x > vmax[j]:
                 vmax[j] = float(x)
-
-    def likelihoods(self, values, counts, out: np.ndarray) -> None:
-        """Write each attribute's Gaussian density row of ``values`` into ``out``,
-        in order; ``counts`` are the leaf's observed class counts."""
-        xs = [values[a] for a in self.attributes]
-        out.T[...] = [list(map(_density, xs, repeat(n), means, m2))
-                      for n, means, m2 in zip(counts, self.means, self.m2)]
 
     def without(self, attribute: int) -> GaussianNumericObserver | None:
         """Delete ``attribute``'s column in place; this block, or None when none is left."""
@@ -242,7 +236,7 @@ class GaussianNumericObserver:
                 for j, threshold, merit, left, right in picked]
 
 
-def _density(x, n: float, mean: float, m2: float) -> float:
+def density(x, n: float, mean: float, m2: float) -> float:
     """Gaussian density of ``x`` for a class of count n; point mass if variance is 0."""
     if n <= 0.0:
         return 1.0

@@ -228,8 +228,10 @@ class CsvStream:
     """UTF-8 comma-separated stream: feature columns then the class label.
 
     Column kinds and nominal value lists come from the declared sidecar
-    spec, not from the file.  Parse failures raise StreamFormatError with
-    the offending row (and column, when identifiable).
+    spec, not from the file.  A leading byte-order mark and blank lines at
+    the end of the file are skipped.  Parse failures, a blank line before a
+    data row among them, raise StreamFormatError with the offending row
+    (and column, when identifiable).
     """
 
     def __init__(self, path, columns: list[CsvColumn], class_values: tuple[str, ...],
@@ -253,15 +255,18 @@ class CsvStream:
 
     def __iter__(self):
         expected = len(self.columns) + 1
-        with open(self.path, newline="", encoding="utf-8") as handle:
+        blank = None  # the first blank row; only blank rows may follow it
+        with open(self.path, newline="", encoding="utf-8-sig") as handle:
             reader = csv.reader(handle)
             for row_number, row in enumerate(reader, start=1):
                 if self.has_header and row_number == 1:
                     continue
-                if len(row) != expected:
-                    raise StreamFormatError(
-                        f"expected {expected} fields, found {len(row)}", row_number
-                    )
+                if not row:
+                    blank = blank or row_number
+                    continue
+                if blank or len(row) != expected:  # a blank row is short when a data row follows
+                    raise StreamFormatError(f"expected {expected} fields, found "
+                                            f"{0 if blank else len(row)}", blank or row_number)
                 values = []
                 for col, cell, vmap in zip(self.columns, row, self._value_maps):
                     cell = cell.strip()

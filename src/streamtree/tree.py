@@ -17,10 +17,12 @@ import numpy as np
 
 from .core import (ClassDistribution, ConfigError, ContractViolation, Instance, Schema,
                    checked, hoeffding_bound)
-from .observers import GaussianNumericObserver, NominalObserver, SplitCandidate
+from .observers import GaussianNumericObserver, NominalObserver, SplitCandidate, density
 
 LEAF_PREDICTION_MODES = ("mc", "nb")
 MERIT_RANGE_MODES = ("unit", "log2c")
+# Naive Bayes gathers with numpy on an all-nominal leaf of more (attribute, class) cells.
+NB_GATHER_CELLS = 40
 
 
 @dataclass(frozen=True)
@@ -70,10 +72,13 @@ class LeafNode:
     attribute and ``nominal`` the counts of every active nominal one; each
     is None when the leaf has no such attribute, and ``learn`` hands both
     the class's count.  Deactivating an attribute drops its column or its
-    rows.  ``weights``, one per class, seed ``dist``.
+    rows.  ``weights``, one per class, seed ``dist``.  ``nb_plan``, the
+    naive-Bayes attribute order, is derived: set on the first read, dropped
+    at each deactivation and never pickled.
     """
 
-    __slots__ = ("dist", "observed", "numeric", "available", "last_check_weight", "nominal")
+    __slots__ = ("dist", "observed", "numeric", "available", "last_check_weight", "nominal",
+                 "nb_plan")
 
     def __init__(self, schema: Schema, available: tuple[int, ...], weights=None):
         k = schema.class_count
@@ -90,6 +95,9 @@ class LeafNode:
         self.nominal = NominalObserver(nominal, arities, k) if nominal else None
         self.last_check_weight = self.dist.total
 
+    def __getstate__(self):  # the default state of the slots, less nb_plan
+        return None, {name: getattr(self, name) for name in self.__slots__ if name != "nb_plan"}
+
     def learn(self, values, label: int) -> None:
         self.dist.add(label)
         observed = self.observed
@@ -100,6 +108,7 @@ class LeafNode:
             self.nominal.learn(values, label, observed[label])
 
     def disable_attribute(self, attribute: int) -> None:
+        self.nb_plan = None
         if self.nominal is not None and attribute in self.nominal.attributes:
             self.nominal = self.nominal.without(attribute)
         elif self.numeric is not None and attribute in self.numeric.attributes:
@@ -228,26 +237,37 @@ class HoeffdingTree:
         return self._predict_nb(leaf, values)[0]
 
     def _predict_nb(self, leaf: LeafNode, values) -> tuple[int, list[float]]:
-        """Scores P(c) * prod_a P(x_a | c), the attributes in attribute order.
-
-        Row 0 of ``factors`` is the prior, each further row one attribute's
-        finite likelihoods; ``np.multiply.reduce`` multiplies the rows in
-        turn, so a score has the bits of the product taken factor by factor.
-        """
-        dist, nominal, numeric = leaf.dist, leaf.nominal, leaf.numeric
-        attrs = nominal.attributes if nominal is not None else ()
-        numeric_attrs = numeric.attributes if numeric is not None else []
-        factors = np.empty((1 + len(attrs) + len(numeric_attrs), len(dist)))
-        np.divide(dist.weights, dist.total, out=factors[0])
-        if nominal is not None:
-            nominal.likelihoods(values, leaf.observed, factors[1:1 + len(attrs)])
-        if numeric is None:  # no factor exceeds 1, so the product cannot overflow
+        """Scores P(c) * prod_a P(x_a | c), multiplied factor by factor in
+        attribute order: (n_vc + 1) / (n_c + arity) for a nominal attribute,
+        the Gaussian density for a numeric one.  A wide all-nominal leaf
+        multiplies the prior by its gathered likelihood rows in turn
+        (``np.multiply.reduce``), which gives the same bits."""
+        dist, nominal, numeric, observed = leaf.dist, leaf.nominal, leaf.numeric, leaf.observed
+        k = len(observed)
+        if numeric is None and nominal is not None and len(nominal.attributes) * k > NB_GATHER_CELLS:
+            factors = np.empty((1 + len(nominal.attributes), k))
+            np.divide(dist.weights, dist.total, out=factors[0])
+            nominal.likelihoods(values, observed, factors[1:])
             scores = np.multiply.reduce(factors, axis=0).tolist()
         else:
-            numeric.likelihoods(values, leaf.observed, factors[1 + len(attrs):])
-            order = np.argsort([*attrs, *numeric_attrs]) + 1  # attribute order
-            with np.errstate(over="ignore", invalid="ignore"):  # a density may exceed 1
-                scores = np.multiply.reduce(factors[[0, *order]], axis=0).tolist()
+            plan = getattr(leaf, "nb_plan", None)  # unset until the first read
+            if plan is None:  # (attribute, first cell, arity) or (attribute, column, None)
+                rows = zip(nominal.rows, nominal.arities) if nominal is not None else ()
+                columns = enumerate(numeric.attributes) if numeric is not None else ()
+                plan = leaf.nb_plan = sorted([(a, row * k, arity) for (a, row), arity in rows]
+                                             + [(a, j, None) for j, a in columns])
+            cells = [(None, i + int(values[a]) * k, arity) if arity else (values[a], i, None)
+                     for a, i, arity in plan]
+            num = nominal.num_flat if nominal is not None else None
+            scores = []
+            for c, w in enumerate(dist.weights):
+                n = observed[c]
+                if numeric is not None:  # a float count: the int's bits, cheaper densities
+                    n, means, m2 = float(n), numeric.means[c], numeric.m2[c]
+                s = w / dist.total
+                for x, i, arity in cells:  # a float product overflows to inf, never raises
+                    s *= num[i + c] / (n + arity) if arity else density(x, n, means[i], m2[i])
+                scores.append(s)
         total = math.fsum(scores)
         if not math.isfinite(total):  # an overflow: inf classes share it, nan counts 0
             top = [float(s == math.inf) for s in scores]

@@ -117,6 +117,34 @@ def test_the_parent_holds_scipy_when_the_worker_pool_starts(tmp_path):
     assert report == {"code": 0, "seen": [True]}
 
 
+@pytest.mark.parametrize("streams", [["led"], ["led", "sea"]], ids="-".join)
+def test_the_parent_loads_scipy_for_the_pool_only_when_a_stream_is_numeric(tmp_path, streams):
+    # No worker of a grid over LED alone reads a numeric split, so the
+    # parent has no module to share; a later numeric stream still needs it.
+    (tmp_path / "config.json").write_text(json.dumps({
+        "streams": [{"name": name, "type": name, "n": 400} for name in streams],
+        "algorithms": ["vfdt"], "tiebreaks": [0.05], "seeds": [1, 2], "snapshot_every": 100,
+        "leaf_prediction": "nb"}), encoding="utf-8")
+    report = fresh("""
+        import json, sys
+        from concurrent.futures import process
+        from streamtree.experiment import main
+
+        seen = []
+        start = process.ProcessPoolExecutor.__init__
+
+        def recording(self, *args, **kwargs):
+            seen.append("scipy" in sys.modules)
+            start(self, *args, **kwargs)
+
+        process.ProcessPoolExecutor.__init__ = recording
+        code = main(["run", "--config", "config.json", "--output-dir", "out", "--workers", "2"])
+        print(json.dumps({"code": code, "seen": seen, "scipy": "scipy" in sys.modules}))
+    """, tmp_path)
+    numeric = "sea" in streams
+    assert report == {"code": 0, "seen": [numeric], "scipy": numeric}
+
+
 def test_an_unpickled_learner_finds_the_same_split_candidates(tmp_path):
     config = TreeConfig(grace_period=100)
     learner = make_learner("vfdt", SeaStream(n=10).schema, config)

@@ -1,13 +1,17 @@
 """The naive-Bayes leaf kernel against the per-(value, class) likelihoods.
 
-``HoeffdingTree._predict_nb`` gathers a leaf's nominal likelihood rows from
-its ``NominalObserver`` block, whose Laplace denominators are kept per
-arity as instances arrive.  Every count is an exact integer, so the kernel
-must give the very bits of multiplying the per-(value, class) likelihoods
-below in attribute order: predictions, probability vectors and split logs
-are compared with ``==``.
+``HoeffdingTree._predict_nb`` multiplies each class's prior by one factor
+per active attribute, or, on an all-nominal leaf of more than
+``NB_GATHER_CELLS`` (attribute, class) cells, gathers the nominal
+likelihood rows from its ``NominalObserver`` block, whose Laplace
+denominators are kept per arity as instances arrive.  Every count is an
+exact integer, so either path must give the very bits of multiplying the
+per-(value, class) likelihoods below in attribute order: predictions,
+probability vectors and split logs are compared with ``==`` or as hex
+strings.
 """
 import math
+import pickle
 import random
 import warnings
 
@@ -16,7 +20,7 @@ import pytest
 from streamtree.core import Attribute, ContractViolation, Instance, Schema
 from streamtree.streams import LedStream, RbfStream, SeaStream
 from streamtree.svfdt import StrictHoeffdingTree
-from streamtree.tree import HoeffdingTree, TreeConfig
+from streamtree.tree import NB_GATHER_CELLS, HoeffdingTree, TreeConfig
 
 CONFIG = TreeConfig(leaf_prediction="nb", grace_period=100, tiebreak=0.15)
 MIXED = Schema(
@@ -192,3 +196,96 @@ def test_overflowing_product_keeps_a_probability_vector(n_attrs):
         label, scores = tree.predict(Instance((1.0,) * n_attrs))
     assert (label, scores) == (1, [0.0, 1.0])
     assert all(math.isfinite(s) for s in scores) and math.fsum(scores) == 1.0
+
+
+def hexes(prediction):
+    label, scores = prediction
+    return label, [s.hex() for s in scores]
+
+
+def fed_leaf_tree(schema, n, seed):
+    """A one-leaf NB tree whose root has learnt ``n`` random instances."""
+    tree = HoeffdingTree(schema, TreeConfig(leaf_prediction="nb", grace_period=10 ** 9))
+    rng = random.Random(seed)
+    for _ in range(n):
+        tree.root.learn(random_values(schema, rng), rng.randrange(schema.class_count))
+    return tree
+
+
+def random_values(schema, rng):
+    return tuple(rng.randrange(t.arity) if t.is_nominal else rng.gauss(0.0, 1.0)
+                 for t in schema.attributes)
+
+
+def plan(leaf):
+    """The leaf's derived attribute-order plan; a loaded leaf has none set."""
+    return getattr(leaf, "nb_plan", None)
+
+
+def assert_matches_reference(tree, probes):
+    for values in probes:
+        assert hexes(tree.predict(Instance(values))) == hexes(reference_nb(tree.root, values))
+
+
+@pytest.mark.parametrize("extra", [0, 1], ids=["at-the-constant", "one-attribute-above"])
+def test_all_nominal_leaves_either_side_of_the_gather_constant(extra):
+    k = 4
+    width = NB_GATHER_CELLS // k + extra
+    schema = Schema(tuple(Attribute.nominal(f"a{i}", 2 + i % 3) for i in range(width)), k)
+    tree = fed_leaf_tree(schema, 300, seed=width)
+    rng = random.Random(1)
+    assert_matches_reference(tree, [random_values(schema, rng) for _ in range(50)])
+    # the gather reads den and no plan; the scalar product the reverse
+    gathers = width * k > NB_GATHER_CELLS
+    assert (plan(tree.root) is None, tree.root.nominal.den is not None) == (gathers, gathers)
+
+
+def test_mixed_leaf_after_a_numeric_and_after_a_nominal_deactivation():
+    schema = Schema(tuple(Attribute.numeric(f"x{i}") if i % 2 else Attribute.nominal(f"a{i}", 3)
+                          for i in range(6)), 3)
+    tree = fed_leaf_tree(schema, 400, seed=2)
+    rng = random.Random(3)
+    probes = [random_values(schema, rng) for _ in range(30)]
+    assert_matches_reference(tree, probes)
+    for attribute in (3, 2):  # numeric, then nominal
+        tree.root.disable_attribute(attribute)
+        assert plan(tree.root) is None
+        assert_matches_reference(tree, probes)
+        for _ in range(50):
+            tree.root.learn(random_values(schema, rng), rng.randrange(3))
+        assert_matches_reference(tree, probes)
+    assert [a for a, _, _ in plan(tree.root)] == [0, 1, 4, 5]
+
+
+@pytest.mark.parametrize("stream", ["mixed", "led", "sea"])
+def test_leaf_pickled_and_loaded_between_predictions(stream):
+    schema, instances = STREAMS[stream]()
+    tree = HoeffdingTree(schema, TreeConfig(leaf_prediction="nb", grace_period=10 ** 9))
+    for inst in instances[:500]:
+        tree.train_one(inst)
+    probes = [inst.values for inst in instances[500:540]]
+    assert_matches_reference(tree, probes)
+    copy = pickle.loads(pickle.dumps(tree))
+    assert plan(copy.root) is None
+    assert_matches_reference(copy, probes)
+    for inst in instances[540:800]:
+        assert copy.train_one(inst) == tree.train_one(inst)
+    assert_matches_reference(copy, probes)
+    assert [hexes(copy.predict(Instance(v))) for v in probes] == \
+        [hexes(tree.predict(Instance(v))) for v in probes]
+
+
+@pytest.mark.parametrize("stream", sorted(STREAMS))
+def test_a_naive_bayes_read_leaves_the_pickle_unchanged(stream):
+    schema, instances = STREAMS[stream]()
+    tree = make("svfdt-ii", schema)
+    for inst in instances[:2000]:
+        tree.train_one(inst)
+    unread = pickle.loads(pickle.dumps(tree))  # no leaf holds a plan or denominators
+    before = pickle.dumps(unread)
+    for inst in instances[2000:2200]:
+        unread.predict(Instance(inst.values))
+    leaves = list(unread.iter_leaves())  # each read derives a plan or den
+    assert any(plan(leaf) is not None for leaf in leaves) or any(
+        leaf.nominal.den is not None for leaf in leaves if leaf.nominal is not None)
+    assert pickle.dumps(unread) == before

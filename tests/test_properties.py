@@ -8,16 +8,18 @@ import pickle
 import random
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import streamtree.tree as tree_module
 from streamtree.core import Attribute, ContractViolation, Instance, Schema
 from streamtree.experiment import ExperimentConfig, main, make_learner, run_experiment
 from streamtree.streams import LedStream, RbfStream, SeaStream
 from streamtree.svfdt import leaf_entropy_stats
-from streamtree.tree import LeafNode, TreeConfig
+from streamtree.tree import NB_GATHER_CELLS, LeafNode, TreeConfig
 from test_nb_kernel import reference_nb
 from test_tree import active, denominators
 
@@ -237,40 +239,45 @@ def nominal_block_schemas(draw):
 )
 def test_nominal_block_matches_the_reference_and_survives_pickling(schema, seed, n,
                                                                     algorithm, data):
-    # tiebreak 0: label-following attributes tie, so checks are refused and
-    # the leaves deactivate the attributes that trail them.
-    learner = make_learner(algorithm, schema,
-                           TreeConfig(grace_period=20, tiebreak=0.0, leaf_prediction="nb"))
-    informative = data.draw(st.sets(st.integers(0, schema.n_attributes - 1)))
-    rng = random.Random(seed)
-    for _ in range(n):
-        learner.train_one(valid_instance(schema, rng, informative))
-    for leaf in learner.iter_leaves():
-        numeric = [a for a in active(leaf) if not schema.attributes[a].is_nominal]
-        assert (leaf.numeric is None) == (not numeric)
-        nominal = [a for a in active(leaf) if schema.attributes[a].is_nominal]
-        if not nominal:
-            assert leaf.nominal is None
-            continue
-        arities = [schema.attributes[a].arity for a in nominal]
-        assert leaf.nominal.num.shape == (sum(arities), schema.class_count)
-        # None before a leaf's first naive-Bayes read and after a deactivation
-        if leaf.nominal.den is not None:
-            assert leaf.nominal.den.tolist() == denominators(leaf)
-    probes = [valid_instance(schema, rng, informative) for _ in range(20)]
-    for probe in probes:
-        leaf = learner.sort_to_leaf(probe)
-        assert learner.predict(Instance(probe.values)) == reference_nb(leaf, probe.values)
-        if leaf.nominal is not None and leaf.dist.total > 0.0:
-            assert leaf.nominal.den.tolist() == denominators(leaf)
-    copy = pickle.loads(pickle.dumps(learner))
-    for leaf, twin in zip(learner.iter_leaves(), copy.iter_leaves()):
-        assert (twin.nominal is None) == (leaf.nominal is None)
-        assert twin.nominal is None or twin.nominal.den is None
-    more = [valid_instance(schema, rng, informative) for _ in range(300)]
-    assert [copy.train_one(i) for i in more] == [learner.train_one(i) for i in more]
-    assert copy.split_log == learner.split_log
-    assert [copy.predict(p) for p in probes] == [learner.predict(p) for p in probes]
+    # Every all-nominal leaf gathers with numpy at 0 cells, none at the drawn schemas' widths.
+    gather_cells = data.draw(st.sampled_from([0, NB_GATHER_CELLS]), label="gather_cells")
+    with mock.patch.object(tree_module, "NB_GATHER_CELLS", gather_cells):
+        # tiebreak 0: label-following attributes tie, so checks are refused and
+        # the leaves deactivate the attributes that trail them.
+        learner = make_learner(algorithm, schema,
+                               TreeConfig(grace_period=20, tiebreak=0.0, leaf_prediction="nb"))
+        informative = data.draw(st.sets(st.integers(0, schema.n_attributes - 1)))
+        rng = random.Random(seed)
+        for _ in range(n):
+            learner.train_one(valid_instance(schema, rng, informative))
+        for leaf in learner.iter_leaves():
+            numeric = [a for a in active(leaf) if not schema.attributes[a].is_nominal]
+            assert (leaf.numeric is None) == (not numeric)
+            nominal = [a for a in active(leaf) if schema.attributes[a].is_nominal]
+            if not nominal:
+                assert leaf.nominal is None
+                continue
+            arities = [schema.attributes[a].arity for a in nominal]
+            assert leaf.nominal.num.shape == (sum(arities), schema.class_count)
+            # None before a leaf's first gathered read and after a deactivation
+            if leaf.nominal.den is not None:
+                assert leaf.nominal.den.tolist() == denominators(leaf)
+        probes = [valid_instance(schema, rng, informative) for _ in range(20)]
+        for probe in probes:
+            leaf = learner.sort_to_leaf(probe)
+            assert learner.predict(Instance(probe.values)) == reference_nb(leaf, probe.values)
+            if leaf.nominal is not None and leaf.dist.total > 0.0:  # only the gather derives den
+                gathers = leaf.numeric is None and gather_cells == 0
+                assert (leaf.nominal.den is not None) == gathers
+                assert not gathers or leaf.nominal.den.tolist() == denominators(leaf)
+        copy = pickle.loads(pickle.dumps(learner))
+        for leaf, twin in zip(learner.iter_leaves(), copy.iter_leaves()):
+            assert (twin.nominal is None) == (leaf.nominal is None)
+            assert twin.nominal is None or twin.nominal.den is None
+        more = [valid_instance(schema, rng, informative) for _ in range(300)]
+        assert [copy.train_one(i) for i in more] == [learner.train_one(i) for i in more]
+        assert copy.split_log == learner.split_log
+        assert [copy.predict(p) for p in probes] == [learner.predict(p) for p in probes]
 
 
 CSV_COLUMNS = [{"name": "x", "kind": "numeric"},

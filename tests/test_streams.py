@@ -259,6 +259,25 @@ class TestCsvStream:
             list(stream)
         assert err.value.row == 2
 
+    def test_leading_byte_order_mark_skipped(self, tmp_path):
+        stream = self.make(tmp_path, "\ufeffred,1.5,no\n")
+        assert [(inst.values, inst.label) for inst in stream] == [((0, 1.5), 0)]
+        # A mark before a number was read as part of it: "cannot parse '\ufeff-2.5'".
+        numeric_first = tmp_path / "numeric.csv"
+        numeric_first.write_text("\ufeff-2.5,blue,yes\n", encoding="utf-8")
+        stream = CsvStream(numeric_first, self.COLUMNS[::-1], ("no", "yes"))
+        assert [(inst.values, inst.label) for inst in stream] == [((-2.5, 2), 1)]
+
+    def test_blank_lines_at_the_end_ignored(self, tmp_path):
+        stream = self.make(tmp_path, "red,1.5,no\ngreen,2.0,yes\n\n\r\n\n")
+        assert [inst.values for inst in stream] == [(0, 1.5), (1, 2.0)]
+
+    def test_blank_line_before_a_data_row_names_its_row(self, tmp_path):
+        stream = self.make(tmp_path, "red,1.5,no\n\n\ngreen,2.0,yes\n")
+        with pytest.raises(StreamFormatError, match="found 0 \\(row 2\\)") as err:
+            list(stream)
+        assert err.value.row == 2
+
     def test_unknown_nominal_value_names_value_and_column(self, tmp_path):
         stream = self.make(tmp_path, "purple,1.5,no\n")
         with pytest.raises(StreamFormatError, match="'purple'") as err:

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import streamtree.tree as tree_module
 from streamtree.core import (
     Attribute,
     ClassDistribution,
@@ -177,7 +178,8 @@ class TestPrediction:
         assert blocks and tree.tree_size()[1] > 1
         assert all(block.den is None for block in blocks)
 
-    def test_naive_bayes_denominators_are_the_observed_counts_plus_arity(self):
+    def test_naive_bayes_denominators_are_the_observed_counts_plus_arity(self, monkeypatch):
+        monkeypatch.setattr(tree_module, "NB_GATHER_CELLS", 0)  # den serves the numpy gather
         # a and b copy the label, so every check is refused at tiebreak 0 and
         # noise attribute c, of arity 3, is deactivated at the first one.
         schema = Schema(
