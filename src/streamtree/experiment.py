@@ -73,6 +73,8 @@ class StreamSpec:
         name = params.pop("name", None) or kind
         if kind not in (*GENERATORS, "csv"):
             raise ConfigError(f"unknown stream type {kind!r} in stream {name!r}")
+        if {"/", "\\", "\0"} & set(str(name)):  # run ids, and so file names, start with it
+            raise ConfigError(f"stream {name!r}: a stream name cannot hold '/', '\\' or NUL")
         return StreamSpec(name, kind, params)
 
     def build(self, seed: int):

@@ -25,6 +25,10 @@ from .core import entropy
 # Point-mass window for zero-variance Gaussians when used as NB densities.
 _POINT_MASS_TOL = 1e-9
 _TWO_PI = 2.0 * math.pi
+# Per count format: the largest class count n whose cells, at most n + 1,
+# the format holds exactly, and the format a block widens to past it.
+_WIDER = {"B": (2 ** 8 - 2, "H"), "H": (2 ** 16 - 2, "I"), "I": (2 ** 32 - 2, "d"),
+          "f": (2 ** 24 - 1, "d")}
 
 
 @cache
@@ -59,11 +63,13 @@ class NominalObserver:
 
     ``num`` has one row per (attribute, value), in attribute order (``rows``
     holds each attribute's first row), and holds count + 1 per class: the
-    Laplace numerator, whole numbers that ``learn`` updates through
-    ``num_flat``, a flat memoryview.  It is float32, which holds every
-    whole number up to 2^24 exactly; the learn at which a class count
-    reaches 2^24 widens it to float64 once.  A pickle carries ``num`` alone,
-    in its dtype.
+    Laplace numerator, whole numbers that ``learn`` increments by the int 1
+    through ``num_flat``, a flat memoryview in ``num``'s format.  A new
+    block is uint8; a cell is at most n + 1 for a class count n, so the
+    learn at which n passes what the format holds (``_WIDER``) widens the
+    block one rung: uint8, uint16, uint32, float64.  A float32 block from an
+    older pickle widens to float64 the same way.  Every reader sees the
+    counts exactly.  A pickle carries ``num`` alone, in its dtype.
     ``den`` holds n_c + k once per distinct arity k, ascending: every
     attribute sees every instance the leaf learns.  It is None until the
     first ``likelihoods`` call, the numpy gather of naive Bayes, derives it
@@ -71,31 +77,33 @@ class NominalObserver:
     """
 
     __slots__ = ("attributes", "arities", "n_classes", "num", "den",
-                 "num_flat", "_denominators", "rows", "_den_offsets", "_den_rows")
+                 "num_flat", "_limit", "_denominators", "rows", "_den_offsets", "_den_rows")
 
     def __init__(self, attributes, arities, n_classes: int, num=None):
         self.attributes, self.arities, self.n_classes = tuple(attributes), tuple(arities), n_classes
-        self.num = np.ones((sum(self.arities), n_classes), np.float32) if num is None else num
-        # cast() refuses an array that is not C-contiguous, so this is a view.
-        self.num_flat = memoryview(self.num).cast("B").cast(self.num.dtype.char)
+        self._view(np.ones((sum(self.arities), n_classes), np.uint8) if num is None else num)
         # (attribute, first row) pairs: value v of the attribute is row first + v.
         self.rows = list(zip(self.attributes, accumulate(self.arities[:-1], initial=0)))
         self.den, self._den_offsets = None, ()
+
+    def _view(self, num: np.ndarray) -> None:
+        # cast() refuses an array that is not C-contiguous, so num_flat is a view.
+        self.num, self.num_flat = num, memoryview(num).cast("B").cast(num.dtype.char)
+        self._limit = _WIDER.get(num.dtype.char, (math.inf,))[0]
 
     def __reduce__(self):
         return NominalObserver, (self.attributes, self.arities, self.n_classes, self.num)
 
     def learn(self, values, class_index: int, n: int) -> None:
         """Count one instance of the class; ``n`` is the class's count with it."""
-        if n >= 2 ** 24 and self.num_flat.format == "f":  # a cell, at most n + 1, may pass 2^24
-            self.num = self.num.astype(float)
-            self.num_flat = memoryview(self.num).cast("B").cast("d")
+        if n > self._limit:  # a cell, at most n + 1, may pass what the format holds
+            self._view(self.num.astype(_WIDER[self.num_flat.format][1]))
         counts, k = self.num_flat, self.n_classes
-        for a, row in self.rows:
+        for a, row in self.rows:  # an integer format raises ValueError rather than wrap
             try:
-                counts[(row + values[a]) * k + class_index] += 1.0
+                counts[(row + values[a]) * k + class_index] += 1
             except TypeError:  # a whole float such as 2.0 indexes no memoryview
-                counts[(row + int(values[a])) * k + class_index] += 1.0
+                counts[(row + int(values[a])) * k + class_index] += 1
         for offset in self._den_offsets:
             self._denominators[offset + class_index] += 1.0
 
@@ -108,7 +116,8 @@ class NominalObserver:
             self._denominators = memoryview(self.den).cast("B").cast("d")
             self._den_offsets = range(0, self.den.size, self.n_classes)
             self._den_rows = slice(None) if len(sizes) == 1 else np.searchsorted(sizes, self.arities)
-        # take() accepts a whole float such as 2.0 as a row index; float32 -> float64 is exact.
+        # take() accepts a whole float such as 2.0 as a row index; every count
+        # format casts to float64 exactly.
         rows = self.num.take([row + values[a] for a, row in self.rows], axis=0, mode="clip")
         np.divide(rows, self.den[self._den_rows], out=out)
 

@@ -272,6 +272,8 @@ class CsvStream:
                     cell = cell.strip()
                     if vmap is None:
                         try:
+                            if "_" in cell:  # float() reads PEP 515 digit groups: 1_000
+                                raise ValueError
                             x = float(cell)
                         except ValueError:
                             raise StreamFormatError(

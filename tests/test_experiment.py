@@ -385,18 +385,22 @@ class TestCli:
         ({"type": "csv", "path": "data.csv", "classes": ["p", "p"],
           "columns": [{"name": "c", "kind": "nominal", "values": ["a", "b"]}]},
          "class_names declare 'p' twice"),
+        ({"type": "led", "n": 100, "name": "led/10"}, "cannot hold '/'"),
+        ({"type": "led", "n": 100, "name": "led\0"}, "cannot hold '/'"),
     ], ids=["sea-block-float", "led-n-float", "led-n-bool", "led-irrelevant-negative",
             "led-noise-nan", "sea-threshold-nan", "sea-threshold-inf", "rbf-deviation-inf",
-            "rbf-classes-float", "rbf-deviation-short", "csv-value-twice", "csv-class-twice"])
+            "rbf-classes-float", "rbf-deviation-short", "csv-value-twice", "csv-class-twice",
+            "name-with-slash", "name-with-nul"])
     def test_bad_stream_parameter_is_config_error_before_any_cell_runs(self, tmp_path, capsys,
                                                                         stream, message):
         # json writes NaN and Infinity, and reads them back as floats.
-        payload = dict(BASE_CONFIG, streams=[*BASE_CONFIG["streams"], {"name": "bad", **stream}])
+        stream = {"name": "bad", **stream}
+        payload = dict(BASE_CONFIG, streams=[*BASE_CONFIG["streams"], stream])
         path = write_config(tmp_path, payload)
         out = tmp_path / "out"
         assert main(["run", "--config", str(path), "--output-dir", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: stream 'bad': ") and message in err
+        assert err.startswith(f"error: stream {stream['name']!r}: ") and message in err
         assert "Traceback" not in err
         assert not out.exists()
 

@@ -2,6 +2,7 @@ import math
 import pickle
 import random
 from collections import Counter
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -127,10 +128,42 @@ class TestNominalObserver:
             assert copy.num.dtype == block.num.dtype and copy.num.tolist() == block.num.tolist()
         assert counts[4][0] + 1 == LIMIT + 4  # past what float32 holds exactly
 
-    def test_float64_block_from_an_older_pickle_learns_and_predicts_with_its_bits(self):
-        old = pickle.loads(pickle.dumps(NominalObserver((0, 2), (3, 2), 3, np.ones((5, 3)))))
+    @pytest.mark.parametrize("dtype, limit, wider", [
+        (np.uint8, 2 ** 8 - 2, np.uint16),
+        (np.uint16, 2 ** 16 - 2, np.uint32),
+        (np.uint32, 2 ** 32 - 2, np.float64),
+    ])
+    def test_block_widens_one_rung_at_the_learn_where_a_cell_could_pass_its_format(
+            self, dtype, limit, wider):
+        # Class 0 has been seen limit - 2 times: value 0 of attribute 0 all but
+        # twice, value 2 of attribute 1 every time, so that cell is n + 1.
+        n0 = limit - 2
+        counts = [[n0 - 2, 0], [2, 5], [0, 5], [0, 0], [n0, 0]]
+        block = NominalObserver((0, 1), (2, 3), 2, np.array(counts, dtype) + 1)
+        wide = NominalObserver((0, 1), (2, 3), 2, np.array(counts, np.float64) + 1)
+        probes = [(0, 2), (1, 0), (1, 1)]
+        for n in range(n0 + 1, limit + 4):
+            for obs in (block, wide):
+                obs.learn((0, 2), 0, n)
+            counts[0][0] += 1
+            counts[4][0] += 1
+            assert block.num.dtype == (dtype if n <= limit else wider)
+            assert block.num.tolist() == [[c + 1 for c in row] for row in counts]
+            for values in probes:
+                out, twin = np.empty((2, 2)), np.empty((2, 2))
+                block.likelihoods(values, [n, 5], out)
+                wide.likelihoods(values, [n, 5], twin)
+                assert hexes(out) == hexes(twin)
+            assert block.best_split([n, 5]) == wide.best_split([n, 5])
+            copy = pickle.loads(pickle.dumps(block))
+            assert copy.num.dtype == block.num.dtype and copy.num.tolist() == block.num.tolist()
+        assert counts[4][0] + 1 == np.iinfo(dtype).max + 3  # past what the format holds
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_float_block_from_an_older_pickle_learns_and_predicts_with_its_bits(self, dtype):
+        old = pickle.loads(pickle.dumps(NominalObserver((0, 2), (3, 2), 3, np.ones((5, 3), dtype))))
         new = NominalObserver((0, 2), (3, 2), 3)
-        assert old.num.dtype == np.float64 and new.num.dtype == np.float32
+        assert old.num.dtype == dtype and new.num.dtype == np.uint8
         rng, counts = random.Random(3), [0, 0, 0]
         for _ in range(300):
             values, c = (rng.randrange(3), 9, rng.randrange(2)), rng.randrange(3)
@@ -144,7 +177,8 @@ class TestNominalObserver:
             expected = [[float(old.num[row + values[a], c]) / (counts[c] + arity)
                          for c in range(3)] for a, row, arity in ((0, 0, 3), (2, 3, 2))]
             assert hexes(out) == hexes(twin) == [x.hex() for row in expected for x in row]
-        assert old.num.dtype == np.float64 and old.num.tolist() == new.num.tolist()
+        assert old.num.dtype == dtype and old.num.tolist() == new.num.tolist()
+        assert new.num.dtype == np.uint8  # no class reached 255
         assert old.best_split(counts) == new.best_split(counts)
 
 
@@ -155,14 +189,26 @@ def hexes(array):
     return [x.hex() for x in array.ravel().tolist()]
 
 
+def narrowest(count: int):
+    """The narrowest count format that holds ``count`` exactly."""
+    return next(t for t in (np.uint8, np.uint16, np.uint32) if count <= np.iinfo(t).max)
+
+
 @settings(max_examples=60, deadline=None)
 @given(arities=st.lists(st.integers(2, 4), min_size=1, max_size=6),
        n_classes=st.integers(2, 5), data=st.data())
-def test_block_counts_every_cell_in_float32_through_deactivations(arities, n_classes, data):
+def test_block_counts_every_cell_in_the_narrowest_format_through_deactivations(
+        arities, n_classes, data):
     # Nominal attributes at even positions; the odd ones are never read.
     attributes = tuple(range(0, 2 * len(arities), 2))
-    block = NominalObserver(attributes, arities, n_classes)
-    seen, counts = Counter(), [0] * n_classes
+    # Some blocks start part-way: each class seen counts[c] times, all on value 0.
+    counts = data.draw(st.lists(st.one_of(st.just(0), st.integers(250, 254),
+                                          st.integers(65530, 65534)),
+                                min_size=n_classes, max_size=n_classes))
+    num = np.ones((sum(arities), n_classes), narrowest(max(counts) + 1))
+    num[list(accumulate(arities[:-1], initial=0))] += np.array(counts, num.dtype)
+    block = NominalObserver(attributes, arities, n_classes, num if any(counts) else None)
+    seen = Counter({(a, 0, c): counts[c] for a in attributes for c in range(n_classes)})
     steps = data.draw(st.lists(st.one_of(
         st.tuples(*(st.integers(0, k - 1) for k in arities), st.integers(0, n_classes - 1)),
         st.sampled_from(attributes),
@@ -179,7 +225,8 @@ def test_block_counts_every_cell_in_float32_through_deactivations(arities, n_cla
         counts[c] += 1
         block.learn(values, c, counts[c])
         seen.update((a, values[a], c) for a in attributes)
-    assert block.num.dtype == np.float32 and block.num.nbytes == 4 * block.num.size
+    assert block.num.dtype == narrowest(max(counts) + 1)
+    assert block.num.nbytes == block.num.itemsize * block.num.size
     cells = [[seen[a, v, c] for c in range(n_classes)]
              for a, arity in zip(block.attributes, block.arities) for v in range(arity)]
     assert (block.num - 1).tolist() == cells

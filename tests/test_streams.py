@@ -285,7 +285,8 @@ class TestCsvStream:
         assert err.value.column == "color"
 
     def test_bad_number_positioned(self, tmp_path):
-        for cell in ("big", "nan", "inf", "-inf", "NaN", "Infinity"):
+        # float() alone reads the digit groups of "1_000" as 1000.0.
+        for cell in ("big", "nan", "inf", "-inf", "NaN", "Infinity", "1_000", "1_0.5", "1e1_0"):
             stream = self.make(tmp_path, f"red,1.0,no\nred,{cell},yes\n")
             with pytest.raises(StreamFormatError, match=f"'{cell}'") as err:
                 list(stream)
